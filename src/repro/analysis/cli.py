@@ -140,9 +140,21 @@ def _pick_scale_rules(select: Optional[str], disable: Optional[str]):
     return _filter_rules(scale_rules(), select, disable)
 
 
-def run_analysis(paths: List[str], rules=None) -> List[Finding]:
-    """Lint ``paths`` (or the repro package when empty)."""
-    return Analyzer(rules).analyze_paths(paths or [_default_target()])
+def run_analysis(paths: List[str], rules=None,
+                 project=None) -> List[Finding]:
+    """Lint ``paths`` (or the repro package when empty).
+
+    ``project`` is an optional pre-built
+    :class:`~repro.analysis.dataflow.symbols.ProjectModel` over the same
+    paths; its modules are linted from their parsed trees rather than
+    read and parsed a second time.
+    """
+    parsed = None
+    if project is not None:
+        parsed = {module.path: (module.source, module.tree)
+                  for module in project.modules.values()}
+    return Analyzer(rules).analyze_paths(paths or [_default_target()],
+                                         parsed)
 
 
 def run_deep_analysis(paths: List[str], rules=None,
@@ -254,16 +266,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     wants_shard = bool(args.shard and (shard or args.shard_inventory))
     wants_scale = bool(args.scale and (scale or args.scale_inventory))
     try:
-        findings = run_analysis(args.paths, rules) if rules else []
-        merged = {(f.path, f.line, f.col, f.code, f.message)
-                  for f in findings}
         project = None
-        if wants_deep + wants_shard + wants_scale >= 2:
-            # The project-model passes all start from the same parsed
-            # symbol table; build it once instead of once per pass.
+        if bool(rules) + wants_deep + wants_shard + wants_scale >= 2:
+            # Every pass starts from the same parsed modules, and the
+            # project passes from the same symbol table; build it once
+            # instead of once per pass.
             from repro.analysis.dataflow.symbols import build_project
 
             project = build_project(args.paths or [_default_target()])
+        findings = run_analysis(args.paths, rules, project) if rules \
+            else []
+        merged = {(f.path, f.line, f.col, f.code, f.message)
+                  for f in findings}
 
         def _fold(extra: List[Finding]) -> None:
             for finding in extra:

@@ -3,7 +3,8 @@
 The engine is deliberately self-contained (stdlib ``ast`` only) so it can
 lint the simulation stack without importing it.  A :class:`Rule` declares
 the AST node types it cares about (``interests``); the :class:`Analyzer`
-walks each module exactly once and dispatches nodes to interested rules.
+walks each module exactly once (:attr:`RuleContext.nodes`) and
+dispatches nodes to interested rules.
 Rules that need whole-module context (e.g. tracking which local names
 hold sets) implement :meth:`Rule.check_module` instead of — or in
 addition to — the per-node hook.
@@ -23,7 +24,8 @@ import ast
 import os
 import re
 import tokenize
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Type
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional, Set,
+                    Tuple, Type)
 
 __all__ = [
     "Finding",
@@ -85,10 +87,15 @@ class RuleContext:
         self.path = path
         self.source = source
         self.tree = tree
+        #: Every node of the module in ``ast.walk`` order, built by the
+        #: one walk that also fills the parent map; rules read this list
+        #: instead of walking the module again.
+        self.nodes: List[ast.AST] = [tree]
         self.parents: Dict[ast.AST, ast.AST] = {}
-        for parent in ast.walk(tree):
+        for parent in self.nodes:
             for child in ast.iter_child_nodes(parent):
                 self.parents[child] = parent
+                self.nodes.append(child)
         self._generator_cache: Dict[ast.AST, bool] = {}  # simlint: disable=R23  one entry per function node in the analyzed file, freed with the context
 
     def enclosing_function(self, node: ast.AST) -> Optional[ast.AST]:
@@ -210,18 +217,20 @@ class Analyzer:
 
     # -- single module -------------------------------------------------------
 
-    def analyze_source(self, source: str,
-                       path: str = "<string>") -> List[Finding]:
-        """Lint one module's source text."""
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError as exc:
-            return [Finding(path, exc.lineno or 1, (exc.offset or 0) + 1,
-                            PARSE_ERROR, "parse-error",
-                            "file does not parse: %s" % exc.msg)]
+    def analyze_source(self, source: str, path: str = "<string>",
+                       tree: Optional[ast.Module] = None) -> List[Finding]:
+        """Lint one module's source text (``tree``: its parse, if known)."""
+        if tree is None:
+            try:
+                tree = ast.parse(source, filename=path)
+            except SyntaxError as exc:
+                return [Finding(path, exc.lineno or 1,
+                                (exc.offset or 0) + 1, PARSE_ERROR,
+                                "parse-error",
+                                "file does not parse: %s" % exc.msg)]
         ctx = RuleContext(path, source, tree)
         findings: List[Finding] = []
-        for node in ast.walk(tree):
+        for node in ctx.nodes:
             for rule in self._dispatch.get(type(node), ()):
                 findings.extend(rule.check(node, ctx))
         for rule in self.rules:
@@ -240,17 +249,31 @@ class Analyzer:
 
     # -- trees ---------------------------------------------------------------
 
-    def analyze_paths(self, paths: Iterable[str]) -> List[Finding]:
-        """Lint files and/or directory trees (``.py`` files, sorted walk)."""
-        findings: List[Finding] = []
+    def analyze_paths(self, paths: Iterable[str],
+                      parsed: Optional[Mapping[str, Tuple[str, ast.Module]]]
+                      = None) -> List[Finding]:
+        """Lint files and/or directory trees (``.py`` files, sorted walk).
+
+        ``parsed`` maps a file path to its ``(source, tree)`` when
+        another pass has already read and parsed it; those files are
+        linted from that tree instead of being parsed again.
+        """
+        parsed = parsed or {}
+        files: List[str] = []
         for path in paths:
             if os.path.isdir(path):
                 for directory, dirnames, filenames in os.walk(path):
                     dirnames.sort()
-                    for filename in sorted(filenames):
-                        if filename.endswith(".py"):
-                            findings.extend(self.analyze_file(
-                                os.path.join(directory, filename)))
+                    files.extend(os.path.join(directory, filename)
+                                 for filename in sorted(filenames)
+                                 if filename.endswith(".py"))
+            else:
+                files.append(path)
+        findings: List[Finding] = []
+        for path in files:
+            if path in parsed:
+                source, tree = parsed[path]
+                findings.extend(self.analyze_source(source, path, tree))
             else:
                 findings.extend(self.analyze_file(path))
         findings.sort(key=lambda f: f.sort_key)

@@ -128,16 +128,33 @@ def _constructor(project: ProjectModel, klass: ClassInfo) -> Resolution:
                       is_constructor=True)
 
 
-def own_nodes(scope: ast.AST) -> Iterator[ast.AST]:
-    """Walk a function body without descending into nested scopes."""
-    todo: List[ast.AST] = list(ast.iter_child_nodes(scope))
-    while todo:
-        node = todo.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda, ast.ClassDef)):
-            continue
-        todo.extend(ast.iter_child_nodes(node))
+#: Attribute under which :func:`own_nodes` memoises a scope's nodes.
+_OWN_NODES_ATTR = "_simlint_own_nodes"
+
+
+def own_nodes(scope: ast.AST) -> Tuple[ast.AST, ...]:
+    """Every node of ``scope``'s own body, not descending into nested
+    scopes (defs, lambdas, classes), depth-first, last child first.
+
+    Every pass of the analyser reads the same function bodies, most of
+    them several times, so the walk is done once per scope and the
+    tuple is kept on the scope node itself: the memo lives exactly as
+    long as the tree it describes.
+    """
+    nodes = getattr(scope, _OWN_NODES_ATTR, None)
+    if nodes is None:
+        found: List[ast.AST] = []
+        todo: List[ast.AST] = list(ast.iter_child_nodes(scope))
+        while todo:
+            node = todo.pop()
+            found.append(node)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda, ast.ClassDef)):
+                continue
+            todo.extend(ast.iter_child_nodes(node))
+        nodes = tuple(found)
+        setattr(scope, _OWN_NODES_ATTR, nodes)
+    return nodes
 
 
 def iter_calls(func: FunctionInfo) -> Iterator[ast.Call]:

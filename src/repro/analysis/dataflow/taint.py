@@ -85,6 +85,11 @@ _EVENT_METHODS = frozenset({"timeout", "event", "all_of", "any_of",
 #: Event classes by bare name (kernel + resources).
 _EVENT_CLASSES = frozenset({"Event", "Timeout", "Condition", "Request"})
 
+#: The node types :meth:`TaintEngine._walk_body` acts on; every other
+#: node of a body is a no-op for the local fixpoint.
+_EFFECT_NODES = (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.For,
+                 ast.AsyncFor, ast.withitem, ast.Return, ast.Call)
+
 #: Constructors that fork a generator; called with stream draws they
 #: create a non-derivable child (R12).
 _FORK_CONSTRUCTORS = frozenset({
@@ -98,10 +103,14 @@ class FunctionSummary:
 
     __slots__ = ("info", "param_taint", "stream_params", "setlike_params",
                  "returns_taint", "returns_stream", "returns_event",
-                 "reseed_params")
+                 "reseed_params", "effects")
 
     def __init__(self, info: FunctionInfo):
         self.info = info
+        #: The body's own nodes that can move taint, in walk order: the
+        #: local fixpoint re-reads them on every pass of every round.
+        self.effects = tuple(node for node in own_nodes(info.node)
+                             if isinstance(node, _EFFECT_NODES))
         #: Parameter name -> kinds pushed in by any caller.
         self.param_taint: Dict[str, Set[str]] = {}
         #: Parameter names known to receive an RNG stream.
@@ -291,7 +300,7 @@ class TaintEngine:
 
     def _walk_body(self, summary: FunctionSummary, state: _FnState) -> None:
         info = summary.info
-        for node in own_nodes(info.node):
+        for node in summary.effects:
             if isinstance(node, ast.Assign):
                 self._assign(summary, state, node.targets, node.value)
             elif isinstance(node, ast.AnnAssign) and node.value is not None:

@@ -19,6 +19,7 @@ import ast
 from typing import Iterator, List, Set, Tuple
 
 from repro.analysis.core import Finding, Rule, RuleContext
+from repro.analysis.dataflow.callgraph import own_nodes
 from repro.analysis.rules import register
 
 __all__ = ["SetIterationRule"]
@@ -29,6 +30,12 @@ _ORDER_PRESERVING = frozenset({"list", "tuple", "iter", "enumerate",
 
 _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.GeneratorExp,
                    ast.DictComp)
+
+#: The scopes whose set-valued local names the rule tracks.
+_NAME_SCOPES = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)
+
+#: The nodes :func:`own_nodes` does not descend past, plus the root.
+_SCOPES = _NAME_SCOPES + (ast.Lambda, ast.ClassDef)
 
 
 def _unwrap(expr: ast.AST) -> ast.AST:
@@ -55,18 +62,6 @@ def _iterated_exprs(node: ast.AST) -> List[ast.AST]:
     return []
 
 
-def _own_nodes(scope: ast.AST) -> Iterator[ast.AST]:
-    """Walk a scope without descending into nested scopes."""
-    todo: List[ast.AST] = list(ast.iter_child_nodes(scope))
-    while todo:
-        node = todo.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda, ast.ClassDef)):
-            continue
-        todo.extend(ast.iter_child_nodes(node))
-
-
 @register
 class SetIterationRule(Rule):
     """Flag set iteration feeding simulation logic."""
@@ -87,26 +82,36 @@ class SetIterationRule(Rule):
 
     def check_module(self, tree: ast.Module,
                      ctx: RuleContext) -> Iterator[Finding]:
-        scopes: List[ast.AST] = [tree]
-        scopes.extend(node for node in ast.walk(tree)
-                      if isinstance(node, (ast.FunctionDef,
-                                           ast.AsyncFunctionDef)))
-        for scope in scopes:
-            yield from self._check_scope(scope, ctx)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef):
+        # Only a scope that binds a set can iterate one by name, so one
+        # pass over the module's nodes picks those out; every other
+        # scope and class is left unwalked.
+        set_scopes: Set[ast.AST] = set()
+        set_classes: Set[ast.AST] = set()
+        for node in ctx.nodes:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            if any(_is_set_expr(value) for _, value in _assignments(node)):
+                set_scopes.add(_own_scope(node, ctx))
+            if any(_is_set_expr(value)
+                   for _, value in _self_assignments(node)):
+                set_classes.update(_enclosing_classes(node, ctx))
+        for node in ctx.nodes:
+            if node in set_scopes and isinstance(node, _NAME_SCOPES):
+                yield from self._check_scope(node, ctx)
+        for node in ctx.nodes:
+            if node in set_classes:
                 yield from self._check_class(node, ctx)
 
     def _check_scope(self, scope: ast.AST,
                      ctx: RuleContext) -> Iterator[Finding]:
         set_names: Set[str] = set()
-        for node in _own_nodes(scope):
+        for node in own_nodes(scope):
             for name, value in _assignments(node):
                 if _is_set_expr(value):
                     set_names.add(name)
         if not set_names:
             return
-        for node in _own_nodes(scope):
+        for node in own_nodes(scope):
             for expr in _iterated_exprs(node):
                 expr = _unwrap(expr)
                 if isinstance(expr, ast.Name) and expr.id in set_names:
@@ -137,6 +142,25 @@ class SetIterationRule(Rule):
                         "'self.%s' holds a set: iteration order is "
                         "hash-dependent; use sorted() or an ordered dict"
                         % expr.attr)
+
+
+def _own_scope(node: ast.AST, ctx: RuleContext) -> ast.AST:
+    """The scope whose :func:`own_nodes` include ``node``."""
+    current = ctx.parents[node]
+    while not isinstance(current, _SCOPES):
+        current = ctx.parents[current]
+    return current
+
+
+def _enclosing_classes(node: ast.AST, ctx: RuleContext) -> List[ast.AST]:
+    """Every ClassDef ``node`` is (at any depth) inside."""
+    classes: List[ast.AST] = []
+    current = ctx.parents.get(node)
+    while current is not None:
+        if isinstance(current, ast.ClassDef):
+            classes.append(current)
+        current = ctx.parents.get(current)
+    return classes
 
 
 def _assignments(node: ast.AST) -> List[Tuple[str, ast.AST]]:

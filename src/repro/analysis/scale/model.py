@@ -51,7 +51,7 @@ import ast
 import re
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.analysis.dataflow.callgraph import CallGraph
+from repro.analysis.dataflow.callgraph import CallGraph, own_nodes
 from repro.analysis.dataflow.symbols import (
     FunctionInfo,
     ModuleInfo,
@@ -409,7 +409,7 @@ class ScaleModel:
             if info.class_name is None:
                 continue
             owner = "%s.%s" % (module.name, info.class_name)
-            for node in _own_nodes(info.node):
+            for node in own_nodes(info.node):
                 pairs: List[Tuple[ast.AST, ast.AST]] = []
                 if isinstance(node, ast.Assign):
                     for target in node.targets:
@@ -494,7 +494,7 @@ class ScaleModel:
         aliases = self._collect_aliases(info)
         is_kernel = info.qualname in self.kernel_hot
         is_hot = is_kernel or info.qualname in self.hot
-        for node in _own_nodes(info.node):
+        for node in own_nodes(info.node):
             in_loop = _in_loop(node, parents, info.node)
             self._scan_node(info, node, aliases, in_loop)
             if is_kernel:
@@ -506,13 +506,13 @@ class ScaleModel:
         # their grow/shrink/scan sites count toward the same
         # collections, or an eviction hiding in a ``finally`` of a
         # spawned fetcher would be invisible.
-        queue = [node for node in _own_nodes(info.node)
+        queue = [node for node in own_nodes(info.node)
                  if isinstance(node, (ast.FunctionDef,
                                       ast.AsyncFunctionDef))]
         while queue:
             scope = queue.pop()
             nested_parents = _parent_map(scope)
-            for node in _own_nodes(scope):
+            for node in own_nodes(scope):
                 if isinstance(node, (ast.FunctionDef,
                                      ast.AsyncFunctionDef)):
                     queue.append(node)
@@ -524,7 +524,7 @@ class ScaleModel:
             -> Dict[str, TrackedCollection]:
         """Locals bound to a tracked collection (one step, no transit)."""
         aliases: Dict[str, TrackedCollection] = {}
-        for node in _own_nodes(info.node):
+        for node in own_nodes(info.node):
             if not (isinstance(node, ast.Assign)
                     and len(node.targets) == 1
                     and isinstance(node.targets[0], ast.Name)):
@@ -800,18 +800,6 @@ def build_scale_model(paths: Iterable[str]) -> ScaleModel:
 
 
 # -- AST helpers -----------------------------------------------------------
-
-def _own_nodes(scope: ast.AST):
-    """Every node in ``scope``, not descending into nested defs."""
-    todo = list(ast.iter_child_nodes(scope))
-    while todo:
-        node = todo.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda, ast.ClassDef)):
-            continue
-        todo.extend(ast.iter_child_nodes(node))
-
 
 def _parent_map(scope: ast.AST) -> Dict[ast.AST, ast.AST]:
     parents: Dict[ast.AST, ast.AST] = {}

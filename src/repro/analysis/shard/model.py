@@ -41,6 +41,7 @@ import ast
 import re
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.analysis.dataflow.callgraph import own_nodes
 from repro.analysis.dataflow.symbols import (
     ClassInfo,
     FunctionInfo,
@@ -346,7 +347,7 @@ class ShardModel:
                 continue
             qualname = "%s.%s" % (module.name, info.class_name)
             count = self.self_writes.get(qualname, 0)
-            for node in _own_nodes(info.node):
+            for node in own_nodes(info.node):
                 if isinstance(node, (ast.Assign, ast.AugAssign)):
                     targets = node.targets \
                         if isinstance(node, ast.Assign) else [node.target]
@@ -370,7 +371,7 @@ class ShardModel:
                     params: Optional[Set[str]] = None) -> None:
         declared_global: Set[str] = set()
         local_names: Set[str] = set(params or ())
-        nodes = list(_own_nodes(scope))
+        nodes = own_nodes(scope)
         if is_function:
             for node in nodes:
                 if isinstance(node, ast.Global):
@@ -500,18 +501,6 @@ def _toplevel(body: Iterable[ast.AST]) -> Iterable[ast.AST]:
                     yield child
         else:
             yield node
-
-
-def _own_nodes(scope: ast.AST):
-    """Every node in ``scope``, not descending into nested defs."""
-    todo = list(ast.iter_child_nodes(scope))
-    while todo:
-        node = todo.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda, ast.ClassDef)):
-            continue
-        todo.extend(ast.iter_child_nodes(node))
 
 
 def _is_self_attr(node: ast.AST) -> bool:

@@ -43,6 +43,7 @@ import ast
 from typing import Iterator, List, Optional, Type
 
 from repro.analysis.core import Finding
+from repro.analysis.dataflow.callgraph import own_nodes
 from repro.analysis.shard.model import (
     HOST,
     SITE,
@@ -52,7 +53,6 @@ from repro.analysis.shard.model import (
     _MUTATOR_METHODS,
     _dotted,
     _is_self_attr,
-    _own_nodes,
 )
 
 __all__ = ["ShardRule", "register_shard", "shard_rules",
@@ -170,7 +170,7 @@ class CrossEntityDirectMutationRule(ShardRule):
         foreign = _foreign_params(model, module, family, info)
         if not foreign:
             return
-        for node in _own_nodes(info.node):
+        for node in own_nodes(info.node):
             target: Optional[ast.AST] = None
             verb = "writes"
             if isinstance(node, (ast.Assign, ast.AugAssign)):
@@ -293,7 +293,7 @@ class NonMergeableAccumulatorRule(ShardRule):
         info = klass.module.functions.get("%s.%s" % (klass.name, name))
         if info is None:
             return False
-        for node in _own_nodes(info.node):
+        for node in own_nodes(info.node):
             if isinstance(node, ast.AugAssign) and \
                     _is_self_attr(node.target):
                 return True
@@ -327,7 +327,7 @@ class SharedEventQueueEscapeRule(ShardRule):
                 info = module.functions[key]
                 foreign = _foreign_params(model, module, family, info)
                 params = set(info.params) - {"self", "cls"}
-                for node in _own_nodes(info.node):
+                for node in own_nodes(info.node):
                     if not (isinstance(node, ast.Call) and
                             isinstance(node.func, ast.Attribute)):
                         continue

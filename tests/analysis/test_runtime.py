@@ -3,9 +3,12 @@
 ``make check`` runs every pass on every invocation; if the combined
 ``--deep --shard --scale`` gate creeps past a few seconds, developers
 stop running it.  The CLI shares one parsed project model across the
-three project passes — this test pins that property by wall clock.
+three project passes, and every pass shares one node list per scope —
+the wall-clock test pins the result, the structural tests pin the
+properties themselves so a regression fails on any machine.
 """
 
+import ast
 import os
 import time
 
@@ -48,3 +51,52 @@ def test_shared_project_model_is_reused(monkeypatch):
     cli.main(["--deep", "--shard", "--scale", "--disable",
               "R8,R9", fixture])
     assert len(calls) == 1
+
+
+def _reference_own_nodes(scope):
+    """The plain non-descending walk the shared ``own_nodes`` memoises."""
+    found = []
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        found.append(node)
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_own_nodes_walks_each_scope_once(monkeypatch):
+    # Every pass reads a scope's nodes through ``own_nodes``; it must
+    # give the reference walk's nodes in the same order, and a repeat
+    # request for the same scope must not walk the tree again.
+    from repro.analysis.dataflow.callgraph import own_nodes
+    from repro.analysis.dataflow.symbols import build_project
+
+    fixture = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "fixtures", "taintpkg")
+    project = build_project([fixture])
+    scopes = []
+    for name in sorted(project.modules):
+        tree = project.modules[name].tree
+        scopes.extend(node for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.FunctionDef,
+                                           ast.AsyncFunctionDef,
+                                           ast.Lambda, ast.ClassDef)))
+    assert len(scopes) > len(project.modules)
+    for scope in scopes:
+        nodes = own_nodes(scope)
+        assert isinstance(nodes, tuple)
+        assert list(nodes) == _reference_own_nodes(scope)
+
+    walked = []
+    real = ast.iter_child_nodes
+
+    def counting(node):
+        walked.append(node)
+        return real(node)
+
+    monkeypatch.setattr(ast, "iter_child_nodes", counting)
+    for scope in scopes:
+        own_nodes(scope)
+    assert walked == []
