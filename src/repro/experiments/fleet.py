@@ -178,11 +178,15 @@ def build_fleet_world(group: str, lookaheads: Dict[str, float],
         yield from session.establish()
         ready = sim.now
         ready_hist.observe(ready - start)
-        # Durations vary per session but cycle with period 4 so the
-        # session lifetime stays bounded as ``sessions`` grows: arrivals
-        # every 0.75s against a <=3s lifetime keeps the concurrent VM
-        # population well inside the two hosts' guest-memory budget at
-        # any fleet size (the benchmark runs hundreds of sessions).
+        # Application durations (2-2.75s) cycle with period 4, but a
+        # session lives far longer: at the default 0.75s spacing with
+        # 4-6 sessions per site, its warm restore over PVFS alone takes
+        # 18-27 simulated seconds and the session 28-43s (at 6s spacing,
+        # 7-12s and 16-24s).  So the sessions of a small fleet all
+        # overlap, and with 12 per site one host already holds six
+        # 128 MB guests (its whole budget), so the VMM refuses the next.
+        # Large fleets must space arrivals out (``arrival_every``; the
+        # benchmark uses 6s).
         app = synthetic_compute(2.0 + 0.25 * (k % 4),
                                 name="fleet-app-%d" % k)
         yield from session.run_application(app)

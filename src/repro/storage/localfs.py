@@ -16,12 +16,12 @@ from typing import Dict, List
 from repro.hardware.disk import Disk
 from repro.simulation.kernel import Simulation
 from repro.storage.base import FileNotFound, FileSystem, StorageError, block_span
-from repro.storage.cache import BlockCache
+from repro.storage.cache import BlockCache, HitCost
 
 __all__ = ["LocalFileSystem"]
 
 #: CPU/memory cost of serving one block from the buffer cache.
-_HIT_COST = 4e-6
+_HIT_COST = HitCost(4e-6)
 
 
 class LocalFileSystem(FileSystem):
@@ -72,40 +72,13 @@ class LocalFileSystem(FileSystem):
             raise StorageError("read past end of %s (%d+%d > %d)"
                                % (name, offset, nbytes, size))
         file_id = self._file_id(name)
-        # Residency checks are inlined (no per-block ``cache.lookup``
-        # call) on this hottest path.  The hit/miss counters are flushed
-        # before every yield, so any process observing the cache at a
-        # simulated instant sees exactly the per-call counter state.
-        cache = self.cache
-        cached = cache._blocks
-        move_to_end = cached.move_to_end
-        hits = misses = 0
-        hit_cost = 0.0
-        miss_run: List[int] = []  # consecutive missing blocks batch one access
-        append_miss = miss_run.append
-        for block in block_span(offset, nbytes, self.block_size):
-            key = (file_id, block)
-            if key in cached:
-                move_to_end(key)
-                hits += 1
-                hit_cost += _HIT_COST
-                if miss_run:
-                    cache.hits += hits
-                    cache.misses += misses
-                    hits = misses = 0
-                    yield from self._read_run(file_id, miss_run)
-                    miss_run.clear()  # append_miss stays bound to it
-            else:
-                misses += 1
-                append_miss(block)
-        cache.hits += hits
-        cache.misses += misses
-        if miss_run:
-            yield from self._read_run(file_id, miss_run)
-        if hit_cost:
-            yield self.sim.timeout(hit_cost)
+        hits = yield from self.cache.scan(
+            file_id, block_span(offset, nbytes, self.block_size),
+            lambda run: self._read_run(file_id, run))
+        if hits:
+            yield self.sim.timeout(_HIT_COST.total(hits))
 
-    def _read_run(self, file_id, blocks: List[int]):
+    def _read_run(self, file_id, blocks: range):
         """One disk access covering a run of consecutive missing blocks.
 
         The run pays one positioning cost and then streams, regardless of
@@ -126,7 +99,7 @@ class LocalFileSystem(FileSystem):
             # One positioning cost, then the whole range streams.
             yield from self.disk.write(len(blocks) * self.block_size,
                                        sequential=False)
-            self.cache.insert_run(file_id, blocks, dirty=False)
+            self.cache.insert_run(file_id, blocks)
         self._files[name] = max(self._files[name], offset + nbytes)
 
     def copy(self, src: str, dst: str, chunk_bytes: int = 4 * 1024 * 1024):

@@ -126,35 +126,11 @@ class NfsMount(FileSystem):
         if offset + nbytes > size:
             raise StorageError("read past end of %s" % name)
         file_id = (self.name, name)
-        # Inlined residency checks, mirroring LocalFileSystem.read: the
-        # hit/miss counters are flushed before every yield so concurrent
-        # observers see per-lookup counter state.
-        cache = self.cache
-        cached = cache._blocks
-        move_to_end = cached.move_to_end
-        hits = misses = 0
-        miss_run: List[int] = []
-        append_miss = miss_run.append
-        for block in block_span(offset, nbytes, self.block_size):
-            key = (file_id, block)
-            if key in cached:
-                move_to_end(key)
-                hits += 1
-                if miss_run:
-                    cache.hits += hits
-                    cache.misses += misses
-                    hits = misses = 0
-                    yield from self._fetch_run(name, file_id, miss_run)
-                    miss_run.clear()  # append_miss stays bound to it
-            else:
-                misses += 1
-                append_miss(block)
-        cache.hits += hits
-        cache.misses += misses
-        if miss_run:
-            yield from self._fetch_run(name, file_id, miss_run)
+        yield from self.cache.scan(
+            file_id, block_span(offset, nbytes, self.block_size),
+            lambda run: self._fetch_run(name, file_id, run))
 
-    def _fetch_run(self, name: str, file_id, blocks: List[int]):
+    def _fetch_run(self, name: str, file_id, blocks: range):
         """RPC-fetch a run of consecutive chunks with read-ahead."""
         server = self.server
         nbytes = len(blocks) * self.block_size

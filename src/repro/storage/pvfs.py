@@ -18,16 +18,16 @@ over any backing file system (normally an :class:`NfsMount`), adding:
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.simulation.kernel import Simulation
 from repro.storage.base import FileSystem, StorageError, block_span
-from repro.storage.cache import BlockCache
+from repro.storage.cache import BlockCache, HitCost
 
 __all__ = ["PvfsProxy"]
 
 #: Proxy forwarding cost per block served from the proxy cache.
-_PROXY_HIT_COST = 2e-5
+_PROXY_HIT_COST = HitCost(2e-5)
 
 
 class PvfsProxy(FileSystem):
@@ -84,30 +84,18 @@ class PvfsProxy(FileSystem):
              sequential: bool = True):
         """Read through the proxy cache; misses forward to the backing FS."""
         file_id = (self.name, name)
-        hit_cost = 0.0
-        hits = 0
-        miss_run: List[int] = []
         blocks = block_span(offset, nbytes, self.block_size)
-        for block in blocks:
-            if self.cache.lookup(file_id, block):
-                hit_cost += _PROXY_HIT_COST
-                hits += 1
-                if miss_run:
-                    yield from self._fill(name, file_id, miss_run)
-                    miss_run = []
-                continue
-            miss_run.append(block)
-        if miss_run:
-            yield from self._fill(name, file_id, miss_run)
+        hits = yield from self.cache.scan(
+            file_id, blocks, lambda run: self._fill(name, file_id, run))
         self._m_hits.inc(hits)
         self._m_misses.inc(len(blocks) - hits)
-        if hit_cost:
-            yield self.sim.timeout(hit_cost)
+        if hits:
+            yield self.sim.timeout(_PROXY_HIT_COST.total(hits))
         # A streaming pattern warms the cache ahead of the reader.
         if sequential and self.prefetch_blocks and blocks:
             self._start_prefetch(name, file_id, blocks[-1] + 1)
 
-    def _fill(self, name: str, file_id, blocks: List[int]):
+    def _fill(self, name: str, file_id, blocks: Sequence[int]):
         """Fetch a run of missing blocks from the backing file system."""
         span_offset = blocks[0] * self.block_size
         span_bytes = min(len(blocks) * self.block_size,
@@ -115,17 +103,16 @@ class PvfsProxy(FileSystem):
         if span_bytes > 0:
             yield from self.backing.read(name, span_offset, span_bytes,
                                          sequential=len(blocks) > 1)
-        for block in blocks:
-            self.cache.insert(file_id, block)
+        self.cache.insert_run(file_id, blocks)
 
     def _start_prefetch(self, name: str, file_id, first_block: int) -> None:
         limit = (self.backing.size(name) + self.block_size - 1) \
             // self.block_size
-        wanted = [b for b in range(first_block,
-                                   min(first_block + self.prefetch_blocks,
-                                       limit))
-                  if not self.cache.contains(file_id, b)
-                  and (name, b) not in self._inflight_prefetch]
+        absent = self.cache.missing(
+            file_id, first_block, min(first_block + self.prefetch_blocks,
+                                      limit))
+        wanted = [b for b in absent
+                  if (name, b) not in self._inflight_prefetch]
         if not wanted:
             return
         for block in wanted:
@@ -149,11 +136,10 @@ class PvfsProxy(FileSystem):
         """Absorb the write into the proxy's write buffer (fast path)."""
         blocks = block_span(offset, nbytes, self.block_size)
         file_id = (self.name, name)
-        for block in blocks:
-            self.cache.insert(file_id, block, dirty=True)
+        self.cache.insert_run(file_id, blocks)
         self._write_buffer.setdefault(name, []).append((offset, nbytes))
         self.buffered_bytes += nbytes
-        yield self.sim.timeout(len(blocks) * _PROXY_HIT_COST)
+        yield self.sim.timeout(len(blocks) * _PROXY_HIT_COST.cost)
 
     def sync(self):
         """Process generator: flush buffered writes to the backing FS."""
