@@ -62,39 +62,11 @@ parallel-determinism:
 
 # Byte-identity across *shard* counts: the sharded engine's
 # determinism contract says every artifact is a pure function of
-# (scenario, seed), never of shard count, shard model or placement.
-# Table 2 and Table 1 are compared across {1,2,4} shards under both
-# the `site` and `host` shard models (host unlocks shard counts above
-# the site count: one group per sample world), table2's trace and
-# flight record across {1,2} shards, and the fleet scenario (the
-# message-coupled multi-site world, including its merged flight
-# record) across {1,4}.  The fleet flight file reuses one path so the
-# printed output is comparable too.
+# (scenario, seed), never of shard count or placement.  The fleet
+# scenario (the message-coupled multi-site world, including its merged
+# flight record) is compared across {1,4} shards.  The flight file
+# reuses one path so the printed output is comparable too.
 shard-determinism:
-	$(PYTHON) -m repro table2 --seed 42 --shards 1 > .shard-det-t2-1.txt
-	$(PYTHON) -m repro table2 --seed 42 --shards 2 > .shard-det-t2-2.txt
-	$(PYTHON) -m repro table2 --seed 42 --shards 4 > .shard-det-t2-4.txt
-	$(PYTHON) -m repro table2 --seed 42 --shards 4 --shard-model host \
-	    > .shard-det-t2-4h.txt
-	cmp .shard-det-t2-1.txt .shard-det-t2-2.txt
-	cmp .shard-det-t2-1.txt .shard-det-t2-4.txt
-	cmp .shard-det-t2-1.txt .shard-det-t2-4h.txt
-	$(PYTHON) -m repro table1 --seed 42 --shards 1 > .shard-det-t1-1.txt
-	$(PYTHON) -m repro table1 --seed 42 --shards 4 > .shard-det-t1-4.txt
-	$(PYTHON) -m repro table1 --seed 42 --shards 4 --shard-model host \
-	    > .shard-det-t1-4h.txt
-	cmp .shard-det-t1-1.txt .shard-det-t1-4.txt
-	cmp .shard-det-t1-1.txt .shard-det-t1-4h.txt
-	$(PYTHON) -m repro trace table2 --seed 42 --shards 1 \
-	    --out .shard-det-trace-1.json
-	$(PYTHON) -m repro trace table2 --seed 42 --shards 2 \
-	    --out .shard-det-trace-2.json
-	cmp .shard-det-trace-1.json .shard-det-trace-2.json
-	$(PYTHON) -m repro record table2 --seed 42 --shards 1 \
-	    --out .shard-det-rec-1.jsonl
-	$(PYTHON) -m repro record table2 --seed 42 --shards 2 \
-	    --out .shard-det-rec-2.jsonl
-	cmp .shard-det-rec-1.jsonl .shard-det-rec-2.jsonl
 	$(PYTHON) -m repro fleet --seed 42 --shards 1 \
 	    --out .shard-det-flight.jsonl > .shard-det-fleet-1.txt
 	mv .shard-det-flight.jsonl .shard-det-flight-1.jsonl
@@ -102,9 +74,7 @@ shard-determinism:
 	    --out .shard-det-flight.jsonl > .shard-det-fleet-4.txt
 	cmp .shard-det-fleet-1.txt .shard-det-fleet-4.txt
 	cmp .shard-det-flight-1.jsonl .shard-det-flight.jsonl
-	rm -f .shard-det-t2-*.txt .shard-det-t1-*.txt \
-	    .shard-det-trace-*.json .shard-det-rec-*.jsonl \
-	    .shard-det-fleet-*.txt .shard-det-flight*.jsonl
+	rm -f .shard-det-fleet-*.txt .shard-det-flight*.jsonl
 
 # Adaptive conservative windows must never cost barrier rounds versus
 # the fixed-lookahead schedule, and every artifact except the reported
@@ -148,13 +118,10 @@ record-smoke:
 	rm -f .record-smoke-a.jsonl .record-smoke-b.jsonl
 	$(PYTHON) -m pytest -x -q tests/obs/test_recorder.py
 
-# Model-layer fast paths must be invisible: regenerate Table 2 at
-# seed 42 and byte-compare it against the committed golden (recorded
-# before the fast paths landed — see docs/performance.md).
+# Every artifact's seed-42 stdout against its committed golden under
+# benchmarks/goldens/ (recorded before the change each one guards).
 golden-guard:
-	$(PYTHON) -m repro table2 --seed 42 > .golden-guard-table2.txt
-	cmp benchmarks/goldens/table2-seed42.txt .golden-guard-table2.txt
-	rm -f .golden-guard-table2.txt
+	$(PYTHON) -m pytest -x -q tests/experiments/test_goldens.py
 
 # Kernel throughput microbenchmark: regenerates BENCH_kernel.json at
 # the repo root (events/sec for the hot-path workloads, pre-PR

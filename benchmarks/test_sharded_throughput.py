@@ -1,19 +1,12 @@
 """Sharded engine throughput: critical-path speedup over shard counts.
 
-Two workloads, one per decomposition style:
-
-* **fleet** — the multi-site scenario (four sites, 48 sessions each,
-  ring dispatch traffic): coupled shards exchanging real cross-shard
-  messages, the conservative engine's home turf.
-* **table2** — the paper's own startup-time table under the ``host``
-  shard model: one group per sample world, channel-free, a single
-  unbounded round.  This is the embarrassingly parallel end of the
-  spectrum and measures pure fan-out overhead.
-
-Both runs are identical at every shard count (the determinism
-contract, asserted below), so the benchmark measures pure engine
-scaling.  A third section records what adaptive windows buy on the
-fleet's round schedule versus fixed lookahead windows.
+The workload is the fleet, the multi-site scenario (four sites, 48
+sessions each, ring dispatch traffic): coupled shards exchanging real
+cross-shard messages, the one world the sharded engine runs.  The run
+is identical at every shard count (the determinism contract, asserted
+below), so the benchmark measures pure engine scaling.  A second
+section records what adaptive windows buy on the fleet's round
+schedule versus fixed lookahead windows.
 
 **Methodology — critical path, not wall clock.**  The reference
 container exposes a single CPU core, so the worker processes of a
@@ -44,7 +37,6 @@ import time
 import pytest
 
 from repro.experiments.fleet import run_fleet
-from repro.experiments.table2 import table2_shard_run
 from repro.simulation.workerpool import shutdown_warm_group
 
 pytestmark = pytest.mark.bench
@@ -58,14 +50,10 @@ BENCH_PATH = REPO_ROOT / "BENCH_sharded.json"
 FLEET = dict(sites=4, sessions=48, seed=42, arrival_every=6.0,
              interval=10.0, capacity=64)
 
-#: The table2 shape: every sample its own shard-able world.
-TABLE2 = dict(samples=24, seed=42, shard_model="host")
-
 SHARD_COUNTS = (1, 2, 4)
 
 #: Acceptance floors from the sharding work's design targets.
-MIN_SPEEDUP = {"fleet": {2: 1.6, 4: 2.5},
-               "table2": {2: 1.5, 4: 2.0}}
+MIN_SPEEDUP = {"fleet": {2: 1.6, 4: 2.5}}
 
 ROUNDS = 3
 
@@ -116,11 +104,7 @@ def _measure(factory) -> dict:
         }
         if best is None or sample["makespan_sec"] < best["makespan_sec"]:
             best = sample
-    # Experiment-level decompositions run their sample worlds as nested
-    # Simulations the engine's event accounting cannot see; events/sec
-    # is meaningless there (None), CPU critical path is not.
-    best["events_per_sec"] = (best["events"] / best["makespan_sec"]
-                              if best["events"] else None)
+    best["events_per_sec"] = best["events"] / best["makespan_sec"]
     return best
 
 
@@ -139,8 +123,7 @@ def _speedup_section(samples: dict, workload: str) -> tuple:
             str(shards): {
                 "makespan_sec": round(sample["makespan_sec"], 4),
                 "critical_path_events_per_sec":
-                    None if sample["events_per_sec"] is None
-                    else round(sample["events_per_sec"], 1),
+                    round(sample["events_per_sec"], 1),
                 "wall_sec": round(sample["wall_sec"], 3),
                 "coordinator_cpu_sec":
                     round(sample["coordinator_cpu_sec"], 4),
@@ -159,14 +142,11 @@ def _report_speedups(report, title: str, samples: dict, speedups: dict):
     lines = ["%s (critical path, best of %d):" % (title, ROUNDS)]
     for shards in SHARD_COUNTS:
         sample = samples[shards]
-        rate = ("%8.0f ev/s" % sample["events_per_sec"]
-                if sample["events_per_sec"] is not None
-                else "       - ev/s")
         lines.append(
-            "  %d shard%s: makespan %6.3fs  %s  "
+            "  %d shard%s: makespan %6.3fs  %8.0f ev/s  "
             "speedup %.2fx  (wall %6.3fs)"
             % (shards, " " if shards == 1 else "s",
-               sample["makespan_sec"], rate,
+               sample["makespan_sec"], sample["events_per_sec"],
                speedups[shards], sample["wall_sec"]))
     report("\n".join(lines))
 
@@ -197,27 +177,6 @@ def test_sharded_throughput_fleet(report):
     _report_speedups(report, "Sharded engine throughput [fleet]",
                      samples, speedups)
     _assert_floors("fleet", speedups)
-
-
-def test_sharded_throughput_table2(report):
-    try:
-        samples = {
-            shards: _measure(
-                lambda shards=shards: table2_shard_run(
-                    shards=shards, **TABLE2)[1])
-            for shards in SHARD_COUNTS}
-    finally:
-        shutdown_warm_group()
-
-    payload, speedups = _speedup_section(
-        samples, "table2: 6 cells x %(samples)d samples, seed "
-                 "%(seed)d, shard model %(shard_model)s" % TABLE2)
-    payload["min_speedup_required"] = {
-        str(k): v for k, v in MIN_SPEEDUP["table2"].items()}
-    _merge_bench("table2", payload)
-    _report_speedups(report, "Sharded engine throughput [table2]",
-                     samples, speedups)
-    _assert_floors("table2", speedups)
 
 
 def test_adaptive_window_rounds(report):

@@ -57,18 +57,16 @@ model layer was justified from.
 worker count, including the single-world ``trace``/``metrics`` runs,
 which stay sequential by construction.
 
-``--shards N`` partitions the experiment and runs up to N kernels in
-parallel under the deterministic conservative protocol of
-:mod:`repro.simulation.sharded` (``docs/sharding.md``).  Orthogonal to
-``--workers``; every artifact is byte-identical for any shard count
-and shard model.  ``fleet`` is the decomposable multi-site scenario
-(one shard per site, adaptive conservative windows — ``--fixed-windows``
-for the A/B schedule); ``table1``/``table2`` decompose over their
-independent sample worlds (``--shard-model site`` groups per table
-cell/column, ``host`` per world).  ``figure1``, the ablations and the
-single-session trace/record targets are one-kernel worlds: ``--shards
-> 1`` prints a notice and runs the identical inline path, or errors
-out under ``--strict-shards``.
+``--shards N`` applies to ``fleet`` only, the message-coupled
+multi-site scenario: one shard per site, up to N kernels in parallel
+under the deterministic conservative protocol of
+:mod:`repro.simulation.sharded` with adaptive windows
+(``--fixed-windows`` for the A/B schedule; ``docs/sharding.md``).
+Its artifacts are byte-identical for any shard count.  Any other
+command rejects ``--shards`` other than 1 (and any command but
+``sanitize`` rejects ``--shard-model``), and the count arguments
+(``--samples``, ``--workers``, ``--shards``, ``--sites``,
+``--sessions``) must be positive: both are usage errors (exit 2).
 """
 
 from __future__ import annotations
@@ -86,8 +84,7 @@ def _cmd_table1(args) -> None:
     from repro.experiments.table1 import run_table1
 
     scale = float(args.scale) if args.scale is not None else 1.0
-    rows = run_table1(scale=scale, seed=args.seed, shards=args.shards,
-                      shard_model=args.shard_model or "site")
+    rows = run_table1(scale=scale, seed=args.seed)
     print(format_table(
         ["Application", "Resource", "User(s)", "Sys(s)", "Total(s)",
          "Overhead"],
@@ -102,8 +99,7 @@ def _cmd_table2(args) -> None:
     from repro.experiments.table2 import run_table2
 
     rows = run_table2(samples=args.samples, seed=args.seed,
-                      workers=args.workers, shards=args.shards,
-                      shard_model=args.shard_model or "site")
+                      workers=args.workers)
     print(format_table(
         ["Start", "Storage", "Mean(s)", "Std", "Min", "Max"],
         [[r.start_mode, r.storage_mode, "%.1f" % r.mean, "%.1f" % r.std,
@@ -115,8 +111,7 @@ def _cmd_figure1(args) -> None:
     from repro.experiments.figure1 import run_figure1
 
     results = run_figure1(samples=args.samples, seed=args.seed,
-                          workers=args.workers, shards=args.shards,
-                          strict_shards=args.strict_shards)
+                          workers=args.workers)
     print(format_table(
         ["Load", "Test on", "Load on", "Mean slowdown", "Std"],
         [[r.load_level, r.test_on, r.load_on, "%.3f" % r.mean_slowdown,
@@ -131,27 +126,21 @@ def _cmd_ablations(args) -> None:
         run_staging_ablation,
     )
 
-    cache = run_proxy_cache_ablation(seed=args.seed, workers=args.workers,
-                                     shards=args.shards,
-                                     strict_shards=args.strict_shards)
+    cache = run_proxy_cache_ablation(seed=args.seed, workers=args.workers)
     print(format_table(
         ["Proxy cache", "Cold(s)", "Warm mean(s)"],
         [["on" if r.proxy_cache else "off", "%.1f" % r.cold,
           "%.1f" % r.warm_mean] for r in cache],
         title="A1: proxy cache"))
     print()
-    sched = run_scheduler_ablation(seed=args.seed, workers=args.workers,
-                                   shards=args.shards,
-                                   strict_shards=args.strict_shards)
+    sched = run_scheduler_ablation(seed=args.seed, workers=args.workers)
     print(format_table(
         ["Mechanism", "VM", "Target", "Achieved"],
         [[r.mechanism, r.vm, "%.3f" % r.target, "%.3f" % r.achieved]
          for r in sched],
         title="A2: enforcement mechanisms"))
     print()
-    staging = run_staging_ablation(workers=args.workers,
-                                   shards=args.shards,
-                                   strict_shards=args.strict_shards)
+    staging = run_staging_ablation(workers=args.workers)
     print(format_table(
         ["Fraction", "On-demand(s)", "Staged(s)", "Winner"],
         [["%.2f" % p.fraction, "%.1f" % p.on_demand_time,
@@ -228,9 +217,7 @@ def _cmd_trace(args) -> None:
 
     target = _require_target(args)
     out = args.out or "%s-trace.json" % target
-    sim, count = trace_experiment(target, out, seed=args.seed,
-                                  shards=args.shards,
-                                  strict_shards=args.strict_shards)
+    sim, count = trace_experiment(target, out, seed=args.seed)
     print("wrote %s: %d trace events, %.2f simulated seconds"
           % (out, count, sim.now))
 
@@ -254,8 +241,7 @@ def _cmd_record(args) -> None:
     out = args.out or "%s-record.jsonl" % target
     sim, _grid, recorder = record_experiment(
         target, interval=args.interval, seed=args.seed,
-        capacity=args.capacity, shards=args.shards,
-        strict_shards=args.strict_shards)
+        capacity=args.capacity)
     count = recorder.write(out)
     print("wrote %s: %d heartbeat(s) at %gs intervals, "
           "%.2f simulated seconds"
@@ -374,6 +360,18 @@ _COMMANDS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count argument: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            "must be a positive integer, got %d" % value)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -388,27 +386,22 @@ def build_parser() -> argparse.ArgumentParser:
                              "(figure1, table1 or table2)")
     parser.add_argument("--seed", type=int, default=0,
                         help="root random seed (default 0)")
-    parser.add_argument("--workers", type=int, default=1,
+    parser.add_argument("--workers", type=_positive_int, default=1,
                         help="replication worker processes (default 1: "
                              "sequential; results are byte-identical "
                              "for any value)")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="partition the experiment's worlds and run "
-                             "up to N partition kernels in parallel "
-                             "(default 1; results are byte-identical "
-                             "for any value — see docs/sharding.md)")
-    parser.add_argument("--strict-shards", action="store_true",
-                        help="error out instead of running inline when "
-                             "--shards > 1 hits a non-decomposable "
-                             "experiment (figure1, ablations, "
-                             "trace/record targets)")
+    parser.add_argument("--shards", type=_positive_int, default=1,
+                        help="fleet: run up to N site kernels in "
+                             "parallel (default 1; results are "
+                             "byte-identical for any value — see "
+                             "docs/sharding.md)")
     parser.add_argument("--fixed-windows", action="store_true",
                         help="fleet: disable adaptive conservative "
                              "windows (A/B the round count; artifacts "
                              "other than the rounds row are identical)")
-    parser.add_argument("--sites", type=int, default=3,
+    parser.add_argument("--sites", type=_positive_int, default=3,
                         help="fleet: number of sites (default 3)")
-    parser.add_argument("--sessions", type=int, default=3,
+    parser.add_argument("--sessions", type=_positive_int, default=3,
                         help="fleet: sessions per site (default 3)")
     parser.add_argument("--out", default=None,
                         help="trace: output file "
@@ -425,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--explain", default=None, metavar="RULE",
                         help="analyze: print one rule's documentation "
                              "(e.g. --explain R22) and exit")
-    parser.add_argument("--samples", type=int, default=None,
+    parser.add_argument("--samples", type=_positive_int, default=None,
                         help="table2/figure1: sample count")
     parser.add_argument("--path", action="append", default=None,
                         help="analyze: file/directory to lint (repeatable; "
@@ -443,13 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "inventory at FILE (implies --shard)")
     parser.add_argument("--shard-model", default=None,
                         choices=("site", "host"),
-                        help="table1/table2: how --shards groups the "
-                             "experiment's worlds (site: coarse, one "
-                             "group per cell/column; host: one group "
-                             "per world, unlocking shard counts above "
-                             "the site count); sanitize: also check "
-                             "shard-affinity at runtime, partitioning "
-                             "by site or by host")
+                        help="sanitize: also check shard-affinity at "
+                             "runtime, partitioning by site or by host")
     parser.add_argument("--sarif", action="store_true",
                         help="analyze: emit findings as SARIF 2.1.0")
     parser.add_argument("--baseline", default=None, metavar="FILE",
@@ -472,7 +460,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.shards != 1 and args.command != "fleet":
+        parser.error("--shards applies only to fleet")
+    if args.shard_model and args.command != "sanitize":
+        parser.error("--shard-model applies only to sanitize")
     if args.samples is None:
         args.samples = 150 if args.command == "figure1" else 10
     if args.command == "all":
@@ -483,16 +476,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             _COMMANDS[name](args)
             print()
         return 0
-    if args.strict_shards:
-        # Strict shard validation is a user-requested argument check:
-        # fail with a one-line error, not a traceback.
-        from repro.simulation.sharded import ShardError
-
-        try:
-            return _COMMANDS[args.command](args) or 0
-        except ShardError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
     return _COMMANDS[args.command](args) or 0
 
 

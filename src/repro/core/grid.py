@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.gridnet.dhcp import DhcpServer
-from repro.gridnet.flows import FlowEngine, FlowPartition
+from repro.gridnet.flows import FlowEngine
 from repro.gridnet.topology import Network
 from repro.guestos.interface import PhysicalHost
 from repro.hardware.machine import MachineSpec, PhysicalMachine
@@ -53,31 +53,14 @@ class VirtualGrid:
 
     def __init__(self, sim: Optional[Simulation] = None, seed: int = 0,
                  costs: Optional[VmmCosts] = None,
-                 sla: Optional[SlaPolicy] = None,
-                 flow_partition: Optional[str] = "site"):
+                 sla: Optional[SlaPolicy] = None):
         self.sim = sim or Simulation(seed=seed)
         self.streams = RandomStreams(seed)
         self.costs = costs or VmmCosts()
         self.sla = sla or DEFAULT_SLA
         self.network = Network(self.sim, name="grid-net")
         self.network.add_router(_BACKBONE)
-        # The WAN fluid model runs decomposed by default: per-site fill
-        # shards own their LAN links, cross-site links belong to the WAN
-        # coordinator shard.  Allocations are byte-identical to the
-        # monolithic fill (see FlowEngine._refill_decomposed), so this
-        # is purely an execution-strategy default.
-        if flow_partition is None:
-            partition = None
-        elif flow_partition == "site":
-            partition = FlowPartition.by_site(self.network)
-        elif flow_partition == "host":
-            partition = FlowPartition.by_host(self.network)
-        else:
-            raise SimulationError("unknown flow partition %r "
-                                  "(expected 'site', 'host' or None)"
-                                  % flow_partition)
-        self.engine = FlowEngine(self.sim, self.network,
-                                 partition=partition)
+        self.engine = FlowEngine(self.sim, self.network)
         self.info = InformationService(self.sim,
                                        rng=self.streams.stream("info"))
         self.accounts = AccountRegistry()
@@ -302,39 +285,6 @@ class VirtualGrid:
         if machine is None:
             return ""
         return machine.site if model == "site" else host_name
-
-    def partition_groups(self, model: str = "site"):
-        """The distinct partition labels of :meth:`partitions`, sorted.
-
-        These are the shard plan's groups: one prospective shard per
-        site (or per host under the finest model).
-        """
-        return sorted(set(self.partitions(model).values()))
-
-    def lookaheads(self, model: str = "site"):
-        """Pairwise conservative lookaheads between partition groups.
-
-        Under ``model="site"``, ``(a, b) -> Network.min_latency(a, b)``
-        over the site labels; under ``model="host"`` the matrix comes
-        from :meth:`Network.partition_lookaheads` over the host
-        partition, so co-located machines get the (much tighter) LAN
-        latency as their safety margin — the split that unlocks shard
-        counts above the site count.  Either way the value is the
-        minimum simulated delay any event pays to cross between the
-        groups, which is exactly what the sharded engine's conservative
-        windows need.  A zero or missing latency (co-located groups)
-        simply yields an entry the
-        :class:`~repro.simulation.sharded.ShardPlan` will reject —
-        such groups cannot be sharded apart.
-        """
-        if model == "site":
-            groups = self.partition_groups(model)
-            return {(a, b): self.network.min_latency(a, b)
-                    for a in groups for b in groups if a != b}
-        if model == "host":
-            return self.network.partition_lookaheads(self.partitions("host"))
-        raise SimulationError("unknown shard model %r "
-                              "(expected 'site' or 'host')" % model)
 
     def scoped_metrics(self, host_name: str):
         """A metrics view keyed to the host's partition.

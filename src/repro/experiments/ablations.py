@@ -23,7 +23,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.experiments.runner import run_replications
 from repro.experiments.testbed import (
@@ -135,14 +135,8 @@ def _proxy_cache_world(cache_on: bool, instantiations: int,
 
 
 def run_proxy_cache_ablation(instantiations: int = 4, seed: int = 0,
-                             workers: int = 1, shards: int = 1,
-                             strict_shards: bool = False
-                             ) -> List[ProxyCacheResult]:
+                             workers: int = 1) -> List[ProxyCacheResult]:
     """Repeated VM-restores of a shared image over the WAN, cache on/off."""
-    from repro.simulation.sharded import single_group_shards
-
-    single_group_shards(shards, "ablation worlds share one proxy cache",
-                        strict=strict_shards)
     tasks = [(cache_on, instantiations, seed)
              for cache_on in (True, False)]
     return run_replications(_proxy_cache_world, tasks, workers=workers)
@@ -234,14 +228,8 @@ def _scheduler_world(mechanism: str, duration: float,
 
 
 def run_scheduler_ablation(duration: float = 400.0, seed: int = 0,
-                           workers: int = 1, shards: int = 1,
-                           strict_shards: bool = False
-                           ) -> List[SchedulerAblationRow]:
+                           workers: int = 1) -> List[SchedulerAblationRow]:
     """Enforce the same owner policy with all five mechanisms."""
-    from repro.simulation.sharded import single_group_shards
-
-    single_group_shards(shards, "scheduler worlds couple VMs through "
-                        "one host", strict=strict_shards)
     tasks = [(mechanism, duration, seed) for mechanism in MECHANISMS]
     grouped = run_replications(_scheduler_world, tasks, workers=workers)
     return [row for rows in grouped for row in rows]
@@ -315,13 +303,8 @@ def _staging_point(fraction: float, image_bytes: int) -> StagingPoint:
 def run_staging_ablation(fractions: Sequence[float] = (
         0.02, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0),
         image_bytes: int = 512 * MB,
-        workers: int = 1, shards: int = 1,
-        strict_shards: bool = False) -> List[StagingPoint]:
+        workers: int = 1) -> List[StagingPoint]:
     """Sweep the touched fraction of an image; compare access strategies."""
-    from repro.simulation.sharded import single_group_shards
-
-    single_group_shards(shards, "staging worlds are one two-site kernel",
-                        strict=strict_shards)
     for fraction in fractions:
         if not 0 < fraction <= 1.0:
             raise SimulationError("fractions must be in (0, 1]")

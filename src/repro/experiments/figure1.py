@@ -141,25 +141,14 @@ def _scenario(load_level: str, test_on: str, load_on: str, samples: int,
 
 
 def run_figure1(samples: int = 100, test_seconds: float = 3.0,
-                seed: int = 0, workers: int = 1, shards: int = 1,
-                strict_shards: bool = False) -> List[Figure1Result]:
+                seed: int = 0, workers: int = 1) -> List[Figure1Result]:
     """All twelve scenarios of Figure 1.
 
     The paper uses 1000 samples; 100 keeps the default run quick while
     leaving the means stable (pass ``samples=1000`` for the full run —
     with ``workers=N`` the twelve independent scenario worlds fan out
     across a process pool and the results stay byte-identical).
-
-    Each scenario world couples the test and load VMs through one host
-    and its CPU scheduler, so it is non-decomposable: ``shards > 1``
-    prints a notice (or raises under ``strict_shards``) and runs the
-    identical inline path — ``workers`` is this experiment's
-    parallelism axis.
     """
-    from repro.simulation.sharded import single_group_shards
-
-    single_group_shards(shards, "figure1 scenarios couple VMs through "
-                        "one host", strict=strict_shards)
     tasks = [(load_level, test_on, load_on, samples, test_seconds,
               seed * 100 + 17)
              for load_level in LOAD_LEVELS

@@ -18,7 +18,7 @@ every ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.experiments.testbed import (
     GUEST_MEMORY_MB,
@@ -28,14 +28,13 @@ from repro.experiments.testbed import (
     guest_profile,
     vmm_costs,
 )
-from repro.gridnet.flows import FlowEngine, FlowPartition
+from repro.gridnet.flows import FlowEngine
 from repro.gridnet.topology import Network
 from repro.guestos.interface import PhysicalHost
 from repro.guestos.kernel import OperatingSystem, ProcessResult
 from repro.hardware.machine import PhysicalMachine
 from repro.simulation.kernel import Simulation, SimulationError
 from repro.simulation.randomness import RandomStreams
-from repro.storage.localfs import LocalFileSystem
 from repro.storage.nfs import NfsClient, NfsServer
 from repro.storage.pvfs import PvfsProxy
 from repro.vmm.disk_image import DiskImage
@@ -43,8 +42,7 @@ from repro.vmm.monitor import VirtualMachineMonitor
 from repro.vmm.virtual_machine import VmConfig
 from repro.workloads.applications import Application, spec_climate, spec_seis
 
-__all__ = ["Table1Row", "RESOURCES", "run_table1", "macro_run",
-           "table1_tasks", "table1_shard_run", "build_table1_world"]
+__all__ = ["Table1Row", "RESOURCES", "run_table1", "macro_run"]
 
 RESOURCES = ("physical", "vm-localdisk", "vm-pvfs")
 
@@ -96,11 +94,8 @@ def macro_run(app_factory: Callable[[], Application], resource: str,
         remote_cpu = 0.0
     else:
         # Image server at the remote site, reached through a PVFS proxy.
-        # The fluid model runs decomposed along the two sites (byte-
-        # identical rates; the WAN link belongs to the coordinator
-        # shard — see FlowEngine._refill_decomposed).
         net = Network.two_site_wan(sim, "uf", ["compute"], "nw", ["image"])
-        engine = FlowEngine(sim, net, partition=FlowPartition.by_site(net))
+        engine = FlowEngine(sim, net)
         image_machine = PhysicalMachine(sim, "image", site="nw",
                                         spec=compute_node_spec())
         image_host = PhysicalHost(image_machine, cache_bytes=512 * MB)
@@ -132,126 +127,26 @@ def macro_run(app_factory: Callable[[], Application], resource: str,
         sim.spawn(session(sim), name="table1.%s.%s" % (resource, app.name)))
 
 
-#: The table's applications in row order (module-level so the shard
-#: builder can rebuild factories by name in a worker process).
+#: The table's applications in row order.
 _APPLICATIONS = (("SPECseis", spec_seis), ("SPECclimate", spec_climate))
 
 
-def table1_tasks() -> List[Tuple[str, str]]:
-    """``(application, resource)`` pairs in the table's row order."""
-    return [(app_name, resource)
-            for app_name, _factory in _APPLICATIONS
-            for resource in RESOURCES]
-
-
-def _shard_assignments(tasks: List[Tuple[str, str]],
-                       shard_model: str) -> List[str]:
-    """Group label per task under a shard model.
-
-    ``site`` groups the table by resource column (three groups — each
-    column's worlds share one topology shape); ``host`` gives every
-    (application, resource) world its own group, the finest split.
-    """
-    if shard_model == "site":
-        return [resource for _app, resource in tasks]
-    if shard_model == "host":
-        return ["%s:%s" % (app_name, resource)
-                for app_name, resource in tasks]
-    raise SimulationError("unknown shard model %r "
-                          "(expected 'site' or 'host')" % shard_model)
-
-
-def build_table1_world(group, lookaheads, assignments, scale, seed):
-    """Builder: one shard's slice of the table's macro-run worlds.
-
-    Each macro run is an independent simulated world (a pure function
-    of its (application, resource, scale, seed) tuple), so the
-    decomposition is at the experiment level, exactly as in
-    :func:`repro.experiments.table2.build_table2_world`: the slice runs
-    inside a single time-zero event of the shard's kernel and ships
-    ``(task_index, user, sys, total)`` back through ``collect``.
-    """
-    from repro.simulation.sharded import ShardWorld
-
-    sim = Simulation()
-    world = ShardWorld(sim, group, lookaheads)
-    world.close_outbound()
-    factories = dict(_APPLICATIONS)
-    tasks = assignments[group]
-    values: List[Tuple[int, float, float, float]] = []
-
-    def run_slice(_sim):
-        for index, app_name, resource in tasks:
-            factory = factories[app_name]
-            result = macro_run(lambda: factory(scale), resource, seed=seed)
-            values.append((index, result.user_time, result.sys_time,
-                           result.cpu_time))
-
-    sim.call_at(0.0, run_slice)
-    world.collect = lambda _world: list(values)
-    return world
-
-
-def table1_shard_run(scale: float = 1.0, seed: int = 0, shards: int = 1,
-                     shard_model: str = "site"):
-    """Run the table's worlds under the sharded engine.
-
-    Returns ``(values, run)``: per-task ``(user, sys, total)`` triples
-    in task order and the :class:`ShardRunResult` with the per-shard
-    CPU accounting.
-    """
-    from repro.simulation.sharded import ShardPlan, ShardedSimulation
-
-    tasks = table1_tasks()
-    labels = _shard_assignments(tasks, shard_model)
-    assignments: Dict[str, List[tuple]] = {}
-    for index, (task, label) in enumerate(zip(tasks, labels)):
-        assignments.setdefault(label, []).append((index,) + task)
-    plan = ShardPlan(sorted(assignments))
-    engine = ShardedSimulation(build_table1_world, plan, shards=shards,
-                               kwargs={"assignments": assignments,
-                                       "scale": scale, "seed": seed})
-    run = engine.run()
-    values: List[Tuple[float, float, float]] = [None] * len(tasks)
-    for group in plan.groups:
-        for index, user, sys_time, total in run.data(group):
-            values[index] = (user, sys_time, total)
-    return values, run
-
-
-def run_table1(scale: float = 1.0, seed: int = 0, shards: int = 1,
-               shard_model: str = "site") -> List[Table1Row]:
+def run_table1(scale: float = 1.0, seed: int = 0) -> List[Table1Row]:
     """The full table: SPECseis and SPECclimate on all three resources.
 
-    Each macro run is an independent world, so ``shards > 1`` spreads
-    the six worlds over the sharded engine (grouped per resource column
-    for ``shard_model="site"``, per world for ``"host"``); every value
-    is a pure function of its task tuple, so the rows are
-    byte-identical for any shard count and model.  Within one world the
-    vm-pvfs fluid model additionally runs decomposed along its two
-    sites (see :func:`macro_run`).
+    Each macro run is an independent world, run in row order.
     """
-    tasks = table1_tasks()
-    if shards > 1:
-        values, _run = table1_shard_run(scale, seed, shards=shards,
-                                        shard_model=shard_model)
-    else:
-        factories = dict(_APPLICATIONS)
-        values = []
-        for app_name, resource in tasks:
-            factory = factories[app_name]
-            result = macro_run(lambda: factory(scale), resource, seed=seed)
-            values.append((result.user_time, result.sys_time,
-                           result.cpu_time))
     rows: List[Table1Row] = []
-    physical_total = None
-    for (app_name, resource), (user_time, sys_time, total) in zip(tasks,
-                                                                  values):
-        if resource == "physical":
-            physical_total = total
-            overhead = None
-        else:
-            overhead = total / physical_total - 1.0
-        rows.append(Table1Row(app_name, resource, user_time, sys_time,
-                              total, overhead))
+    for app_name, factory in _APPLICATIONS:
+        physical_total = None
+        for resource in RESOURCES:
+            result = macro_run(lambda: factory(scale), resource, seed=seed)
+            total = result.cpu_time
+            if resource == "physical":
+                physical_total = total
+                overhead = None
+            else:
+                overhead = total / physical_total - 1.0
+            rows.append(Table1Row(app_name, resource, result.user_time,
+                                  result.sys_time, total, overhead))
     return rows

@@ -27,7 +27,7 @@ from repro.experiments.testbed import (
     vmm_costs,
 )
 from repro.experiments.runner import run_replications
-from repro.gridnet.flows import FlowEngine, FlowPartition
+from repro.gridnet.flows import FlowEngine
 from repro.gridnet.topology import Network
 from repro.guestos.interface import PhysicalHost
 from repro.hardware.machine import PhysicalMachine
@@ -41,8 +41,7 @@ from repro.vmm.monitor import VirtualMachineMonitor
 from repro.vmm.virtual_machine import VmConfig
 
 __all__ = ["Table2Row", "STORAGE_MODES", "START_MODES", "run_table2",
-           "startup_sample", "table2_tasks", "table2_shard_run",
-           "build_table2_world"]
+           "startup_sample", "table2_tasks"]
 
 START_MODES = ("reboot", "restore")
 STORAGE_MODES = ("persistent", "nonpersistent-diskfs",
@@ -89,7 +88,7 @@ def startup_sample(start_mode: str, storage_mode: str, seed: int) -> float:
     host.root_fs.create(_MEMSTATE, GUEST_MEMORY_MB * MB)
 
     net = Network.single_lan(sim, ["compute"])
-    engine = FlowEngine(sim, net, partition=FlowPartition.by_site(net))
+    engine = FlowEngine(sim, net)
 
     loopback = storage_mode == "nonpersistent-loopbacknfs"
     if loopback:
@@ -137,8 +136,8 @@ def table2_tasks(samples: int, seed: int) -> List[Tuple[str, str, int]]:
 
     Each task is ``(start_mode, storage_mode, sample_seed)`` — the full
     argument tuple of :func:`startup_sample`, whose value is a pure
-    function of it.  Both the sequential and the sharded drivers
-    consume this one list, so the table is a function of it alone.
+    function of it.  The sequential and the multi-process runs consume
+    this one list, so the table is a function of it alone.
     """
     cells = [(start_mode, storage_mode)
              for start_mode in START_MODES
@@ -148,100 +147,18 @@ def table2_tasks(samples: int, seed: int) -> List[Tuple[str, str, int]]:
             for i in range(samples)]
 
 
-def _shard_assignments(count: int, samples: int,
-                       shard_model: str) -> List[str]:
-    """Group label per task index under a shard model.
-
-    ``site`` puts each table *cell*'s worlds in one group (six groups —
-    the coarse split that mirrors one topology shape per shard);
-    ``host`` gives every sample world its own group (``6 * samples``
-    groups), unlocking shard counts above the cell count.  Labels are
-    zero-padded so the plan's canonical sorted order is task order.
-    """
-    if shard_model == "site":
-        return ["cell%d" % (index // samples) for index in range(count)]
-    if shard_model == "host":
-        return ["world%05d" % index for index in range(count)]
-    raise SimulationError("unknown shard model %r "
-                          "(expected 'site' or 'host')" % shard_model)
-
-
-def build_table2_world(group, lookaheads, assignments):
-    """Builder: one shard's slice of the table's independent worlds.
-
-    The samples are independent simulated worlds, so the decomposition
-    is at the experiment level: the shard's kernel runs its slice (in
-    task order) inside a single time-zero event — which is exactly the
-    one conservative window the plan's channel-free groups get — and
-    ships ``(task_index, value)`` pairs back through ``collect``.
-    Running the samples inside the kernel's event (rather than at build
-    time) keeps their CPU inside the engine's per-round accounting.
-    """
-    from repro.simulation.sharded import ShardWorld
-
-    sim = Simulation()
-    world = ShardWorld(sim, group, lookaheads)
-    world.close_outbound()
-    tasks = assignments[group]
-    values: List[Tuple[int, float]] = []
-
-    def run_slice(_sim):
-        for index, start_mode, storage_mode, sample_seed in tasks:
-            values.append((index, startup_sample(start_mode, storage_mode,
-                                                 sample_seed)))
-
-    sim.call_at(0.0, run_slice)
-    world.collect = lambda _world: list(values)
-    return world
-
-
-def table2_shard_run(samples: int = 10, seed: int = 0, shards: int = 1,
-                     shard_model: str = "site"):
-    """Run the table's worlds under the sharded engine.
-
-    Returns ``(values, run)``: the per-task sample values in task order
-    (identical to the sequential driver's — each value is a pure
-    function of its task tuple) and the :class:`ShardRunResult` with
-    the per-shard CPU accounting the critical-path benchmark reads.
-    """
-    from repro.simulation.sharded import ShardPlan, ShardedSimulation
-
-    tasks = table2_tasks(samples, seed)
-    labels = _shard_assignments(len(tasks), samples, shard_model)
-    assignments: Dict[str, List[tuple]] = {}
-    for index, (task, label) in enumerate(zip(tasks, labels)):
-        assignments.setdefault(label, []).append((index,) + task)
-    plan = ShardPlan(sorted(assignments))
-    engine = ShardedSimulation(build_table2_world, plan, shards=shards,
-                               kwargs={"assignments": assignments})
-    run = engine.run()
-    values: List[float] = [0.0] * len(tasks)
-    for group in plan.groups:
-        for index, value in run.data(group):
-            values[index] = value
-    return values, run
-
-
-def run_table2(samples: int = 10, seed: int = 0, workers: int = 1,
-               shards: int = 1, shard_model: str = "site"
+def run_table2(samples: int = 10, seed: int = 0, workers: int = 1
                ) -> List[Table2Row]:
     """The full table: every (start, storage) cell over ``samples`` runs.
 
     Every sample is an independent simulated world.  ``workers`` fans
     the replications out across processes through the replication
-    runner; ``shards > 1`` instead decomposes the experiment under the
-    sharded engine (grouped per table cell for ``shard_model="site"``,
-    per sample world for ``"host"``).  Either way the values come back
-    in task order and feed each cell's accumulator exactly as a
-    sequential run would, keeping the table byte-identical for any
-    worker count, shard count, and shard model.
+    runner; the values come back in task order and feed each cell's
+    accumulator exactly as a sequential run would, keeping the table
+    byte-identical for any worker count.
     """
-    tasks = table2_tasks(samples, seed)
-    if shards > 1:
-        values, _run = table2_shard_run(samples, seed, shards=shards,
-                                        shard_model=shard_model)
-    else:
-        values = run_replications(startup_sample, tasks, workers=workers)
+    values = run_replications(startup_sample,
+                              table2_tasks(samples, seed), workers=workers)
     cells = [(start_mode, storage_mode)
              for start_mode in START_MODES
              for storage_mode in STORAGE_MODES]

@@ -19,7 +19,7 @@ The top half implements Section 3.3 of the paper:
 """
 
 from repro.gridnet.dhcp import DhcpServer, Lease, NoAddressAvailable
-from repro.gridnet.flows import Flow, FlowEngine, FlowPartition
+from repro.gridnet.flows import Flow, FlowEngine
 from repro.gridnet.overlay import OverlayNetwork
 from repro.gridnet.topology import Link, Network
 from repro.gridnet.tunnel import EthernetTunnel
@@ -29,7 +29,6 @@ __all__ = [
     "EthernetTunnel",
     "Flow",
     "FlowEngine",
-    "FlowPartition",
     "Lease",
     "Link",
     "Network",

@@ -22,59 +22,9 @@ from repro.gridnet.topology import Link, Network
 from repro.simulation.kernel import Event, Simulation, SimulationError
 from repro.simulation.monitor import StatAccumulator
 
-__all__ = ["Flow", "FlowEngine", "FlowPartition"]
+__all__ = ["Flow", "FlowEngine"]
 
 _BYTES_EPSILON = 1e-6
-
-
-class FlowPartition:
-    """Assigns every link of a topology to a fill shard.
-
-    A link whose two endpoints map to the same group belongs to that
-    group's shard; a link that straddles groups (or touches a router,
-    which belongs to no group) is a WAN link owned by the coordinator
-    shard (:data:`WAN`).  The decomposed progressive filling in
-    :meth:`FlowEngine._refill_decomposed` gives each shard its own
-    capacity table and merges their per-round bottleneck summaries, so
-    the shard owning a link is the only writer of its residual capacity.
-    """
-
-    #: Label of the coordinator shard that owns cross-group links.
-    WAN = "@wan"
-
-    def __init__(self, node_group, wan_group: str = WAN):
-        #: Callable mapping a node name to its group label (or ``None``
-        #: for interior nodes such as routers and switches).
-        self._node_group = node_group
-        self.wan_group = wan_group
-        self._link_groups: Dict[Link, str] = {}  # simlint: disable=R23  link->owner memo: links are immutable topology edges, so the map is bounded by the link count, not by session traffic
-
-    @classmethod
-    def by_site(cls, network: Network) -> "FlowPartition":
-        """One fill shard per site (the default shard model)."""
-        return cls(network.site_of)
-
-    @classmethod
-    def by_host(cls, network: Network) -> "FlowPartition":
-        """One fill shard per end host (the ``host`` shard model)."""
-        return cls(lambda node: node if network.has_host(node) else None)
-
-    def group_of(self, link: Link) -> str:
-        """The shard that owns ``link`` (memoized; links are immutable)."""
-        group = self._link_groups.get(link)
-        if group is None:
-            group_a = self._node_group(link.a)
-            group_b = self._node_group(link.b)
-            if group_a is None:
-                group_a = group_b
-            if group_b is None:
-                group_b = group_a
-            if group_a is not None and group_a == group_b:
-                group = group_a
-            else:
-                group = self.wan_group
-            self._link_groups[link] = group
-        return group
 
 
 class Flow:
@@ -102,49 +52,10 @@ class Flow:
                                              self.total_bytes)
 
 
-class _FillShard:
-    """One shard's capacity table in the decomposed progressive filling.
-
-    Holds the residual capacities of the links its partition group
-    owns, in ascending monolithic-table order, and answers one
-    bottleneck summary per coordination round.
-    """
-
-    __slots__ = ("group", "remaining_cap")
-
-    def __init__(self, group: str):
-        self.group = group
-        self.remaining_cap: Dict[Link, float] = {}
-
-    def bottleneck_summary(self, link_flows, unfixed, ordinals):
-        """``(share, ordinal, link)`` of this shard's tightest loaded link.
-
-        The scan mirrors the monolithic fill exactly: links in
-        first-touch order, strict ``<``, share computed as residual
-        capacity over the count of still-unfixed flows on the link.
-        """
-        best_share = math.inf
-        best_link = None
-        for link, cap in self.remaining_cap.items():
-            live = 0
-            for f in link_flows[link]:
-                if f in unfixed:
-                    live += 1
-            if not live:
-                continue
-            share = cap / live
-            if share < best_share:
-                best_share = share
-                best_link = link
-        ordinal = ordinals[best_link] if best_link is not None else -1
-        return best_share, ordinal, best_link
-
-
 class FlowEngine:
     """Shares link bandwidth among concurrent flows, max-min fairly."""
 
-    def __init__(self, sim: Simulation, network: Network,
-                 partition: Optional[FlowPartition] = None):
+    def __init__(self, sim: Simulation, network: Network):
         self.sim = sim
         self.network = network
         self._active: List[Flow] = []
@@ -159,13 +70,6 @@ class FlowEngine:
         #: Progressive fillings actually run (regression guard: at most
         #: one per membership generation, however often rates are read).
         self.full_allocations = 0
-        #: When set, fills run decomposed along this link partition and
-        #: must produce byte-identical rates (see _refill_decomposed).
-        self.partition = partition
-        #: Decomposition instrumentation: coordination rounds executed
-        #: and per-shard bottleneck summaries merged across all fills.
-        self.fill_rounds = 0
-        self.summaries_merged = 0
         self.transfer_time = StatAccumulator("flow.transfer_time")
         metrics = sim.metrics
         self._m_started = metrics.counter("net.flows.started")
@@ -322,21 +226,9 @@ class FlowEngine:
         """
         rates = self._rate_cache
         if rates is None:
-            if self.partition is None:
-                rates = self._refill()
-            else:
-                rates = self._refill_decomposed(self.partition)
-            self._rate_cache = rates
+            rates = self._rate_cache = self._refill()
             self.full_allocations += 1
         return rates
-
-    def decompose(self, partition: Optional[FlowPartition]) -> None:
-        """Switch fills to (or away from) the decomposed protocol.
-
-        Purely an execution-strategy change: the memoized rates stay
-        valid because both fills produce identical allocations.
-        """
-        self.partition = partition
 
     def _refill(self) -> Dict[Flow, float]:
         """Progressive-filling max-min fair rates for all active flows.
@@ -395,96 +287,6 @@ class FlowEngine:
                 unfixed.pop(f, None)
                 for link in f.links:
                     remaining_cap[link] = max(0.0, remaining_cap[link] - rate)
-        return rates
-
-    def _refill_decomposed(self, partition: FlowPartition) -> Dict[Flow, float]:
-        """The progressive filling, decomposed along a link partition.
-
-        Each fill shard owns the residual capacities of its partition's
-        links; cross-group (WAN) links belong to the coordinator shard.
-        One coordination round = every shard publishes a bottleneck
-        summary ``(share, ordinal, link)`` for its most-congested loaded
-        link, the globally tightest summary wins, its flows are frozen,
-        and every shard subtracts the frozen rate from its own links.
-
-        Byte-identical to :meth:`_refill` by construction:
-
-        * a link's ``ordinal`` is its position in the monolithic
-          capacity table (first touch over active flows' paths), and a
-          shard's capacity table holds its links in ascending ordinal
-          order, so the per-shard strict-``<`` scan surfaces the same
-          (share, earliest-position) winner the monolithic scan would;
-        * merging summaries by ``(share, ordinal)`` with exact float
-          comparison reproduces the monolithic tie-break;
-        * each link has exactly one owner, so the residual-capacity
-          arithmetic is the same single ``max(0.0, cap - rate)`` per
-          (link, round) in the same freeze order;
-        * capped-flow pinning sees the same global bottleneck share.
-
-        The memo in :meth:`_allocate` applies unchanged: one decomposed
-        fill per membership generation, and the join/leave fast paths
-        patch the shared rate cache exactly as in the monolithic engine.
-        """
-        rates: Dict[Flow, float] = {}
-        unfixed: Dict[Flow, None] = dict.fromkeys(self._active)
-        if not unfixed:
-            return rates
-        link_flows = self._link_flows
-        # Same first-touch scan as _refill: the ordinal a link gets is
-        # its position in the monolithic capacity table — the tie-break
-        # key its owner's bottleneck summaries carry.
-        ordinals: Dict[Link, int] = {}
-        shards: Dict[str, _FillShard] = {}
-        for flow in unfixed:
-            for link in flow.links:
-                if link not in ordinals:
-                    ordinals[link] = len(ordinals)
-                    group = partition.group_of(link)
-                    shard = shards.get(group)
-                    if shard is None:
-                        shard = shards[group] = _FillShard(group)
-                    shard.remaining_cap[link] = link.bandwidth
-
-        while unfixed:
-            self.fill_rounds += 1
-            bottleneck_share = math.inf
-            bottleneck_ordinal = -1
-            bottleneck_link: Optional[Link] = None
-            for shard in shards.values():
-                share, ordinal, link = shard.bottleneck_summary(
-                    link_flows, unfixed, ordinals)
-                self.summaries_merged += 1
-                if link is None:
-                    continue
-                # Exact float comparison on purpose: equal shares fall
-                # back to the monolithic table position, reproducing
-                # its first-link-achieving-the-minimum tie-break.
-                if (share < bottleneck_share
-                        or (share == bottleneck_share
-                            and ordinal < bottleneck_ordinal)):
-                    bottleneck_share = share
-                    bottleneck_ordinal = ordinal
-                    bottleneck_link = link
-            capped = [f for f in unfixed
-                      if f.bandwidth_cap is not None
-                      and f.bandwidth_cap < bottleneck_share]
-            if capped:
-                flow = min(capped, key=lambda f: f.bandwidth_cap)
-                rate = flow.bandwidth_cap
-                fixed = [flow]
-            elif bottleneck_link is None:
-                break
-            else:
-                rate = bottleneck_share
-                fixed = [f for f in link_flows[bottleneck_link]  # simlint: disable=R22  max-min progressive filling is per-link water-filling by definition; rates are memoized per membership epoch (R26 pattern in _allocate)
-                         if f in unfixed]
-            for f in fixed:
-                rates[f] = rate
-                unfixed.pop(f, None)
-                for link in f.links:
-                    owner = shards[partition.group_of(link)]
-                    owner.remaining_cap[link] = max(
-                        0.0, owner.remaining_cap[link] - rate)
         return rates
 
     # -- fluid advancement -----------------------------------------------------

@@ -214,10 +214,6 @@ class Network:
                 matrix[(label_b, label_a)] = best
         return matrix
 
-    def host_lookaheads(self) -> Dict[Tuple[str, str], float]:
-        """The host-pair lookahead matrix (every host its own group)."""
-        return self.partition_lookaheads({name: name for name in self._hosts})
-
     def _site_matrix(self) -> Dict[Tuple[str, str], float]:
         """The symmetric site-pair minimum-latency matrix (cached)."""
         matrix = self._site_latency_cache

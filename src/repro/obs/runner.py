@@ -110,8 +110,7 @@ def build_scenario(name: str, sim: Simulation, seed: int = 0):
 def run_scenario(name: str, seed: int = 0,
                  tracer: Optional[Tracer] = None,
                  recorder_interval: Optional[float] = None,
-                 recorder_capacity: int = 512, shards: int = 1,
-                 strict_shards: bool = False):
+                 recorder_capacity: int = 512):
     """Drive one traced session life cycle; returns the Simulation.
 
     The run covers all six steps of Section 4's life cycle: establish
@@ -119,20 +118,7 @@ def run_scenario(name: str, seed: int = 0,
     an orderly shutdown.  With ``recorder_interval`` set, a
     :class:`~repro.obs.recorder.FlightRecorder` heartbeats alongside
     the run and the return value becomes ``(sim, grid, recorder)``.
-
-    ``shards`` is validated but cannot split these worlds: every
-    scenario builds one entangled kernel (shared flow engine, NFS
-    object graph spanning the sites), so the shard plan is the
-    degenerate single group and every value takes the identical inline
-    path — trace and flight-record artifacts are byte-identical by
-    construction (``shards > 1`` says so on stderr, or raises under
-    ``strict_shards``).  The decomposable multi-site scenario lives in
-    :mod:`repro.experiments.fleet`.
     """
-    from repro.simulation.sharded import single_group_shards
-
-    single_group_shards(shards, "scenario worlds are one kernel",
-                        strict=strict_shards)
     sim = Simulation(seed=seed, tracer=tracer)
     grid, config, app = build_scenario(name, sim, seed=seed)
     recorder = None
@@ -162,23 +148,20 @@ def run_scenario(name: str, seed: int = 0,
     return sim
 
 
-def trace_experiment(name: str, out_path: str, seed: int = 0,
-                     shards: int = 1,
-                     strict_shards: bool = False) -> Tuple[Simulation, int]:
+def trace_experiment(name: str, out_path: str, seed: int = 0
+                     ) -> Tuple[Simulation, int]:
     """Run a scenario under a :class:`TraceRecorder` and export it.
 
     Returns ``(sim, number_of_trace_events_written)``.
     """
     recorder = TraceRecorder()
-    sim = run_scenario(name, seed=seed, tracer=recorder, shards=shards,
-                       strict_shards=strict_shards)
+    sim = run_scenario(name, seed=seed, tracer=recorder)
     count = export_chrome_trace(recorder, out_path)
     return sim, count
 
 
 def record_experiment(name: str, interval: float = 1.0, seed: int = 0,
-                      capacity: int = 512, shards: int = 1,
-                      strict_shards: bool = False):
+                      capacity: int = 512):
     """Replay a scenario with a flight recorder heartbeating alongside.
 
     Returns ``(sim, grid, recorder)``.  Attaching the recorder cannot
@@ -187,5 +170,4 @@ def record_experiment(name: str, interval: float = 1.0, seed: int = 0,
     the unrecorded run.
     """
     return run_scenario(name, seed=seed, recorder_interval=interval,
-                        recorder_capacity=capacity, shards=shards,
-                        strict_shards=strict_shards)
+                        recorder_capacity=capacity)

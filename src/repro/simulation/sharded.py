@@ -54,7 +54,6 @@ single-kernel run, byte-identical by construction.  See
 
 from __future__ import annotations
 
-import sys
 from typing import (Any, Callable, Dict, Iterable, List, Mapping,
                     Optional, Sequence, Tuple)
 
@@ -69,7 +68,6 @@ __all__ = [
     "ShardRunResult",
     "ShardedSimulation",
     "deliver_order",
-    "single_group_shards",
 ]
 
 _INF = float("inf")
@@ -78,10 +76,9 @@ _INF = float("inf")
 class ShardError(SimulationError, ValueError):
     """Raised for misuse of the sharded engine or protocol violations.
 
-    Also a :class:`ValueError`: a shard request a world cannot honor
-    (``--strict-shards`` on a non-decomposable experiment) is an
-    invalid argument value, and callers outside the engine can treat
-    it as one without importing this module.
+    Also a :class:`ValueError`, so callers outside the engine can treat
+    an invalid shard request as a bad argument value without importing
+    this module.
     """
 
 
@@ -439,42 +436,6 @@ class ShardKernel:
         return self.world.result()
 
 
-def single_group_shards(shards: int, scenario: str = "",
-                        strict: bool = False) -> int:
-    """Validate a ``--shards`` request against a one-group world.
-
-    Some artifacts build *one* entangled kernel (synchronous NFS object
-    graphs inside a single sample world, sequential ablation sweeps),
-    so their shard plan is the degenerate single group and the engine
-    would cap the worker count at one — the same inline code path for
-    every ``shards`` value, byte-identical by construction.  Drivers of
-    such worlds call this instead of spinning up the engine around a
-    partition that cannot exist: the request is validated, the answer
-    is always one worker.
-
-    Asking for parallelism such a world cannot deliver is worth saying
-    out loud: ``shards > 1`` prints a one-line notice to stderr (stdout
-    stays byte-comparable across shard counts), and raises
-    :class:`ShardError` instead under ``strict`` (``--strict-shards``).
-    """
-    if shards < 1:
-        raise ShardError("shards must be >= 1, got %r%s"
-                         % (shards, " (%s)" % scenario if scenario
-                            else ""))
-    if shards > 1:
-        detail = " (%s)" % scenario if scenario else ""
-        if strict:
-            raise ShardError(
-                "--shards %d requested but this world is "
-                "non-decomposable%s; it runs as a single kernel — drop "
-                "--strict-shards to accept the inline path" % (shards,
-                                                               detail))
-        print("[shards] non-decomposable world%s: --shards %d runs the "  # simlint: disable=R9  operator-facing CLI notice on stderr; stdout artifacts stay byte-comparable and no model state is involved
-              "single-kernel inline path" % (detail, shards),
-              file=sys.stderr)
-    return 1
-
-
 class ShardPlan:
     """The partition groups and their pairwise lookahead matrix."""
 
@@ -517,17 +478,6 @@ class ShardPlan:
     def single(cls, label: str = "grid") -> "ShardPlan":
         """The degenerate one-group plan of a non-decomposable world."""
         return cls([label])
-
-    @classmethod
-    def for_grid(cls, grid, model: str = "site") -> "ShardPlan":
-        """The plan a :class:`~repro.core.grid.VirtualGrid` induces.
-
-        ``model="site"`` gives one group per site with WAN-latency
-        lookaheads; ``model="host"`` one group per physical machine
-        with the (tighter) LAN-latency matrix — shard counts above the
-        site count for single-site-heavy worlds.
-        """
-        return cls(grid.partition_groups(model), grid.lookaheads(model))
 
     @classmethod
     def uniform(cls, groups: Sequence[str], lookahead: float

@@ -112,26 +112,26 @@ def test_cli_fleet_output_identical_across_shards(tmp_path, capsys):
     assert "Fleet metrics" in outputs[1]
 
 
-def test_cli_legacy_commands_accept_shards_identically(capsys):
-    """--shards on the paper's single-kernel artifacts: validated,
-    identical inline path, byte-identical stdout."""
-    outputs = {}
-    for shards in ("1", "4"):
-        assert main(["table2", "--samples", "2", "--seed", "42",
-                     "--shards", shards]) == 0
-        outputs[shards] = capsys.readouterr().out
-    assert outputs["1"] == outputs["4"]
-    assert "Table 2" in outputs["1"]
-
-
-def test_cli_record_accepts_shards_identically(tmp_path):
-    records = {}
-    for shards in ("1", "3"):
-        out = tmp_path / ("rec-%s.jsonl" % shards)
-        assert main(["record", "table2", "--seed", "42",
-                     "--shards", shards, "--out", str(out)]) == 0
-        records[shards] = out.read_bytes()
-    assert records["1"] == records["3"]
+@pytest.mark.parametrize("argv", [
+    ["table2", "--samples", "0"],
+    ["figure1", "--workers", "0"],
+    ["fleet", "--shards", "0"],
+    ["fleet", "--sites", "0"],
+    ["fleet", "--sessions", "-1"],
+    ["fleet", "--sites", "two"],
+    ["table2", "--samples", "2", "--shards", "4"],
+    ["record", "table2", "--shards", "3"],
+    ["table1", "--shard-model", "host"],
+], ids=lambda argv: " ".join(argv))
+def test_cli_usage_errors_exit_2(argv, capsys):
+    """Bad counts and --shards/--shard-model outside fleet/sanitize are
+    usage errors: exit 2 and one ``error:`` line, never a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert "Traceback" not in err
 
 
 def test_fleet_rejects_degenerate_parameters():

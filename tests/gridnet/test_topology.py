@@ -199,7 +199,7 @@ def test_site_lookaheads_returns_full_symmetric_matrix():
 
 def test_host_lookaheads_cover_every_host_pair():
     net = build_three_sites(Simulation())
-    matrix = net.host_lookaheads()
+    matrix = net.partition_lookaheads({name: name for name in net.hosts})
     hosts = sorted(net.hosts)
     assert set(matrix) == {(a, b) for a in hosts for b in hosts if a != b}
     for (a, b), value in matrix.items():
@@ -210,7 +210,7 @@ def test_host_lookaheads_tighter_than_site_for_lan_pairs():
     """Same-site host pairs get LAN latencies — boundaries the site
     model cannot even express (intra-site is never a site boundary)."""
     net = build_three_sites(Simulation())
-    matrix = net.host_lookaheads()
+    matrix = net.partition_lookaheads({name: name for name in net.hosts})
     assert matrix[("uf-h0", "uf-h1")] == pytest.approx(0.003)
     # Cross-site entries can never undercut the site matrix.
     for (a, b), value in matrix.items():

@@ -1,7 +1,7 @@
 """Property-based tests: the constraint language round-trips."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.scheduling import compile_constraints, parse_constraints
 from repro.scheduling.compiler import InfeasibleSchedule
@@ -36,6 +36,9 @@ def test_parse_roundtrip_reservations(slice_ms, period_ms):
        n_vms=st.integers(min_value=1, max_value=8),
        cap=st.floats(min_value=0.05, max_value=1.0),
        cores=st.integers(min_value=1, max_value=4))
+# The cap is written with %.6f: 1/3 parses as 0.333333, so three cores
+# give a budget of 0.999999 and a demand of 1.0 must be rejected.
+@example(slice_ms=1, period_ms=1, n_vms=1, cap=1 / 3, cores=3)
 def test_compiler_feasibility_is_exact(slice_ms, period_ms, n_vms, cap,
                                        cores):
     """compile_constraints accepts iff utilization fits the budget."""
@@ -46,7 +49,9 @@ def test_compiler_feasibility_is_exact(slice_ms, period_ms, n_vms, cap,
     constraints = parse_constraints(text)
     vms = ["vm%d" % i for i in range(n_vms)]
     demand = n_vms * slice_ms / period_ms
-    budget = cap * cores
+    # The budget follows the cap the program parsed, not the unrounded
+    # draw.
+    budget = constraints.cpu_cap * cores
     try:
         schedule = compile_constraints(constraints, vms, cores=cores)
     except InfeasibleSchedule:

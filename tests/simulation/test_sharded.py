@@ -8,8 +8,7 @@ from repro.simulation import Simulation
 from repro.simulation.sharded import (ShardError, ShardKernel,
                                       ShardMessage, ShardPlan,
                                       ShardWorld, ShardedSimulation,
-                                      deliver_order,
-                                      single_group_shards)
+                                      deliver_order)
 from repro.simulation.workerpool import (WorkerGroupError,
                                          shutdown_warm_group)
 
@@ -148,10 +147,13 @@ def test_plan_rejects_bad_matrices():
 def test_single_group_plan_and_shards_validation():
     plan = ShardPlan.single("grid")
     assert plan.groups == ("grid",)
-    assert single_group_shards(4) == 1
-    assert single_group_shards(1) == 1
+    # A one-group plan runs inline whatever the shard count asked for.
+    engine = ShardedSimulation(build_silent_world, ShardPlan.single("a"),
+                               shards=4)
+    assert engine.workers == 1
+    assert engine.run().data("a") == "silent"
     with pytest.raises(ShardError):
-        single_group_shards(0)
+        ShardedSimulation(build_silent_world, plan, shards=0)
 
 
 # -- world-side channel API --------------------------------------------------
@@ -412,19 +414,3 @@ def test_broken_promise_is_an_error():
     kernel = ShardKernel(world)
     with pytest.raises(ShardError, match="breaking its promise"):
         kernel.round({"horizon": 2.0, "messages": []})
-
-
-# -- non-decomposable notices -------------------------------------------------
-
-
-def test_single_group_shards_notice_and_strict(capsys):
-    assert single_group_shards(4, "one kernel") == 1
-    err = capsys.readouterr().err
-    assert "non-decomposable world (one kernel)" in err
-    assert "--shards 4" in err
-    assert single_group_shards(1, "one kernel") == 1
-    assert capsys.readouterr().err == ""  # no notice for the no-op case
-    with pytest.raises(ShardError, match="non-decomposable"):
-        single_group_shards(2, strict=True)
-    # A ShardError is a ValueError: strict callers can catch it as one.
-    assert issubclass(ShardError, ValueError)
