@@ -2,8 +2,9 @@
 
 The bottom half is a flow-level network model:
 
-* :class:`~repro.gridnet.topology.Network` — hosts, routers and links in a
-  graph (networkx), with shortest-path routing;
+* :class:`~repro.gridnet.topology.Network` — hosts, routers and links in
+  an adjacency dict, with shortest-path routing by
+  :func:`~repro.gridnet.topology.shortest_path` (a heap Dijkstra);
 * :class:`~repro.gridnet.flows.FlowEngine` — max-min fair fluid bandwidth
   sharing along routed paths;
 * :class:`~repro.gridnet.topology.Link` — latency/bandwidth edges.

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
-from repro.gridnet.topology import Network
+from repro.gridnet.topology import Network, shortest_path
 from repro.simulation.kernel import Simulation, SimulationError
 
 __all__ = ["OverlayNetwork"]
@@ -36,7 +34,8 @@ class OverlayNetwork:
         self.per_hop_forwarding_cost = float(per_hop_forwarding_cost)
         self._members: List[str] = []
         self._measured: Dict[Tuple[str, str], float] = {}
-        self._graph = nx.Graph()
+        #: The measured mesh: ``member -> {member: latency}``.
+        self._mesh: Dict[str, Dict[str, float]] = {}
         #: Extra latency penalties for specific underlay pairs, modelling
         #: inter-domain policy routing that the overlay can route around.
         self._penalties: Dict[Tuple[str, str], float] = {}
@@ -55,14 +54,15 @@ class OverlayNetwork:
         if host in self._members:
             raise SimulationError("%s already joined" % host)
         self._members.append(host)
-        self._graph.add_node(host)
+        self._mesh[host] = {}
 
     def leave(self, host: str) -> None:
         """Remove a member and its measurements."""
         if host not in self._members:
             raise SimulationError("%s is not a member" % host)
         self._members.remove(host)
-        self._graph.remove_node(host)
+        for neighbour in self._mesh.pop(host):
+            del self._mesh[neighbour][host]
         self._measured = {k: v for k, v in self._measured.items()
                           if host not in k}
 
@@ -90,13 +90,12 @@ class OverlayNetwork:
         a real deployment; we charge the slowest probe).
         """
         worst = 0.0
-        self._graph = nx.Graph()
-        self._graph.add_nodes_from(self._members)
+        self._mesh = {member: {} for member in self._members}
         for i, a in enumerate(self._members):
             for b in self._members[i + 1:]:
                 latency = self.underlay_latency(a, b)
                 self._measured[self._key(a, b)] = latency
-                self._graph.add_edge(a, b, weight=latency)
+                self._mesh[a][b] = self._mesh[b][a] = latency
                 worst = max(worst, 2.0 * latency)
         if worst:
             yield self.sim.timeout(worst)
@@ -108,11 +107,14 @@ class OverlayNetwork:
             raise SimulationError("both endpoints must be members")
         if not self._measured:
             raise SimulationError("overlay has no measurements; run measure()")
-
-        def hop_weight(a, b, data):
-            return data["weight"] + self.per_hop_forwarding_cost
-
-        return nx.shortest_path(self._graph, src, dst, weight=hop_weight)
+        # Every edge pays the forwarding cost: one more than the relays a
+        # path uses, the same surplus on every path.
+        path = shortest_path(self._mesh, src, dst,
+                             extra=self.per_hop_forwarding_cost)
+        if path is None:
+            raise SimulationError("no overlay route from %s to %s; run "
+                                  "measure() after joining" % (src, dst))
+        return path
 
     def overlay_latency(self, src: str, dst: str) -> float:
         """End-to-end latency along :meth:`overlay_route`."""

@@ -1,8 +1,9 @@
 """Network topology: hosts, routers and links with latency/bandwidth.
 
 The topology is an undirected multigraph-free graph (one link per node
-pair).  Routing is static shortest-path by propagation latency, computed
-with networkx and cached until the topology changes.  Convenience
+pair), kept as an adjacency dict.  Routing is static shortest-path by
+propagation latency, computed by :func:`shortest_path` (a heap-based
+Dijkstra) and cached until the topology changes.  Convenience
 builders create the two shapes the paper's experiments need: a single
 LAN, and two LANs joined by a WAN link (the University of Florida /
 Northwestern setup of Table 1).
@@ -10,13 +11,62 @@ Northwestern setup of Table 1).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import networkx as nx
+from heapq import heappop, heappush
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.simulation.kernel import Simulation, SimulationError
 
-__all__ = ["Link", "Network"]
+__all__ = ["Link", "Network", "shortest_path"]
+
+
+def shortest_path(adjacency: Mapping[str, Mapping[str, float]], src: str,
+                  dst: str, extra: float = 0.0) -> Optional[List[str]]:
+    """The lowest-cost node sequence from ``src`` to ``dst``, or None.
+
+    ``adjacency`` maps every node to ``{neighbour: weight}``.  Crossing
+    an edge costs ``weight + extra``, and a path's cost accumulates from
+    ``src`` as ``dist + (weight + extra)``, the way networkx's Dijkstra
+    adds edge costs.  Weights must be non-negative.  Returns None when
+    either node is unknown or no path joins them, and ``[src]`` when
+    ``src == dst``.
+
+    Ties: heap entries of equal cost pop in the order they were pushed,
+    each node's neighbours are relaxed in adjacency insertion order, and
+    a node's predecessor changes only for a strictly cheaper path.  So
+    among equal-cost paths the first one reached wins.
+    """
+    if src not in adjacency or dst not in adjacency:
+        return None
+    if src == dst:
+        return [src]
+    best: Dict[str, float] = {src: 0.0}
+    pred: Dict[str, str] = {}
+    done = set()
+    fringe = [(0.0, 0, src)]
+    pushed = 1
+    while fringe:
+        cost, _seq, node = heappop(fringe)
+        if node in done:
+            continue
+        if node == dst:
+            path = [dst]
+            while node != src:
+                node = pred[node]
+                path.append(node)
+            path.reverse()
+            return path
+        done.add(node)
+        for neighbour, weight in adjacency[node].items():
+            if neighbour in done:
+                continue
+            reach = cost + (weight + extra)
+            known = best.get(neighbour)
+            if known is None or reach < known:
+                best[neighbour] = reach
+                pred[neighbour] = node
+                heappush(fringe, (reach, pushed, neighbour))
+                pushed += 1
+    return None
 
 
 class Link:
@@ -46,7 +96,8 @@ class Network:
     def __init__(self, sim: Simulation, name: str = "net"):
         self.sim = sim
         self.name = name
-        self._graph = nx.Graph()
+        #: ``node -> {neighbour: latency}`` over hosts and routers.
+        self._adjacency: Dict[str, Dict[str, float]] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
         self._hosts: Dict[str, dict] = {}
         self._route_cache: Dict[Tuple[str, str], List[str]] = {}
@@ -69,23 +120,24 @@ class Network:
         if name in self._hosts:
             raise SimulationError("host %s already exists" % name)
         self._hosts[name] = dict(site=site, **attributes)
-        self._graph.add_node(name)
+        self._adjacency.setdefault(name, {})
         self._clear_caches()
 
     def add_router(self, name: str) -> None:
         """Register an interior node (cannot source or sink flows)."""
-        self._graph.add_node(name)
+        self._adjacency.setdefault(name, {})
         self._clear_caches()
 
     def add_link(self, a: str, b: str, latency: float,
                  bandwidth: float) -> Link:
         """Connect two registered nodes."""
         for node in (a, b):
-            if node not in self._graph:
+            if node not in self._adjacency:
                 raise SimulationError("unknown node %s" % node)
         link = Link(a, b, latency, bandwidth)
         self._links[self._key(a, b)] = link
-        self._graph.add_edge(a, b, weight=latency)
+        self._adjacency[a][b] = link.latency
+        self._adjacency[b][a] = link.latency
         self._clear_caches()
         return link
 
@@ -124,9 +176,8 @@ class Network:
             return [src]
         key = (src, dst)
         if key not in self._route_cache:
-            try:
-                path = nx.shortest_path(self._graph, src, dst, weight="weight")
-            except (nx.NetworkXNoPath, nx.NodeNotFound):
+            path = shortest_path(self._adjacency, src, dst)
+            if path is None:
                 raise SimulationError("no route from %s to %s" % (src, dst))
             self._route_cache[key] = path
         return self._route_cache[key]
@@ -173,11 +224,6 @@ class Network:
         return sorted(name for name, attrs in self._hosts.items()
                       if attrs["site"] == site)
 
-    def site_of(self, name: str) -> Optional[str]:
-        """The site label of a registered end host (None for routers)."""
-        attrs = self._hosts.get(name)
-        return attrs["site"] if attrs is not None else None
-
     def partition_lookaheads(
             self, partition: Dict[str, str]) -> Dict[Tuple[str, str], float]:
         """Pairwise minimum latency between the groups of a host partition.
@@ -188,8 +234,9 @@ class Network:
         cross-group host pairs — the conservative lookahead for a
         sharded run partitioned along those groups (``inf`` for
         disconnected pairs).  The site matrix is the special case
-        ``partition = {host: site_of(host)}``; a host-level plan passes
-        ``{host: host}`` and wins the tighter LAN latencies.
+        ``partition = {host: host_attributes(host)["site"]}``; a
+        host-level plan passes ``{host: host}`` and wins the tighter LAN
+        latencies.
         """
         groups: Dict[str, List[str]] = {}
         for host in sorted(partition):

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-import numpy as np
-
 from repro.simulation.kernel import SimulationError
 
 __all__ = [
@@ -78,11 +76,16 @@ class ArPredictor:
         if order < 1:
             raise SimulationError("order must be >= 1")
         self.order = int(order)
-        self._coeffs: np.ndarray = np.zeros(0)
+        self._coeffs = None  # numpy array of lag weights, set by fit()
         self._intercept = 0.0
         self._tail: List[float] = []
 
     def fit(self, history: Sequence[float]) -> "ArPredictor":
+        # numpy is imported here, not with the module: the middleware
+        # scheduler imports this module on every artifact run, and only
+        # an AR fit needs numpy.
+        import numpy as np
+
         values = np.asarray(history, dtype=float)
         if len(values) < self.order + 2:
             raise SimulationError("need at least order+2 samples")
@@ -103,6 +106,8 @@ class ArPredictor:
     def predict(self, steps: int = 1) -> List[float]:
         if not self._tail:
             raise SimulationError("fit() first")
+        import numpy as np
+
         tail = list(self._tail)
         out = []
         for _i in range(steps):

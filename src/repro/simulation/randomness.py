@@ -13,8 +13,6 @@ import hashlib
 import random
 from typing import Dict
 
-import numpy as np
-
 __all__ = ["RandomStreams"]
 
 
@@ -23,7 +21,6 @@ class RandomStreams:
 
     >>> streams = RandomStreams(seed=42)
     >>> a = streams.stream("disk")       # stdlib random.Random
-    >>> b = streams.numpy_stream("load") # numpy Generator
     >>> streams.stream("disk") is a      # same name -> same stream
     True
     """
@@ -31,7 +28,6 @@ class RandomStreams:
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
         self._streams: Dict[str, random.Random] = {}  # simlint: disable=R23  named streams must persist for replay determinism; one small Random per name, freed with the world
-        self._numpy_streams: Dict[str, np.random.Generator] = {}
 
     def _derive(self, name: str) -> int:
         digest = hashlib.sha256(
@@ -43,13 +39,6 @@ class RandomStreams:
         if name not in self._streams:
             self._streams[name] = random.Random(self._derive(name))
         return self._streams[name]
-
-    def numpy_stream(self, name: str) -> np.random.Generator:
-        """Return the numpy ``Generator`` stream for ``name``."""
-        if name not in self._numpy_streams:
-            self._numpy_streams[name] = np.random.default_rng(
-                self._derive(name))
-        return self._numpy_streams[name]
 
     def child(self, name: str) -> "RandomStreams":
         """Derive an independent sub-factory (for nested components)."""

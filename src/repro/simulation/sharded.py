@@ -73,13 +73,8 @@ __all__ = [
 _INF = float("inf")
 
 
-class ShardError(SimulationError, ValueError):
-    """Raised for misuse of the sharded engine or protocol violations.
-
-    Also a :class:`ValueError`, so callers outside the engine can treat
-    an invalid shard request as a bad argument value without importing
-    this module.
-    """
+class ShardError(SimulationError):
+    """Raised for misuse of the sharded engine or protocol violations."""
 
 
 class ShardMessage:
@@ -473,11 +468,6 @@ class ShardPlan:
         return {dst: value
                 for (a, dst), value in sorted(self._lookaheads.items())
                 if a == src}
-
-    @classmethod
-    def single(cls, label: str = "grid") -> "ShardPlan":
-        """The degenerate one-group plan of a non-decomposable world."""
-        return cls([label])
 
     @classmethod
     def uniform(cls, groups: Sequence[str], lookahead: float

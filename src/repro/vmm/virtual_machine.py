@@ -168,8 +168,9 @@ class VirtualMachine(MachineInterface):
                                work=remaining, group=self.group)
                 cpu.submit(task)
                 rebind = self._rebind_event
+                wait = self.sim.any_of([task.done, rebind])
                 try:
-                    yield self.sim.any_of([task.done, rebind])
+                    yield wait
                 except Interrupt as interrupt:
                     if not task.done.triggered:
                         cpu.cancel(task)
@@ -177,6 +178,11 @@ class VirtualMachine(MachineInterface):
                         raise VmCrashed("%s crashed while running %s"
                                         % (self.name, pname))
                     raise
+                finally:
+                    # The rebind event fires only on migration; left on
+                    # it, each finished wait would pin its task until then.
+                    if rebind.callbacks is not None:
+                        rebind.callbacks.remove(wait._check)
                 if task.done.triggered:
                     remaining = 0.0
                 else:

@@ -1,4 +1,8 @@
-"""Seed-42 stdout of every paper artifact, byte-compared to its golden.
+"""Seed-42 output of every paper artifact, byte-compared to its golden.
+
+Each artifact's stdout is compared, and so are the files written by
+``repro trace table1`` (Chrome trace JSON) and ``repro record table2``
+(flight-record JSONL).
 
 The goldens under ``benchmarks/goldens/`` are the behaviour contract:
 a change to the model layer that moves any printed digit fails here.
@@ -16,11 +20,27 @@ _GOLDENS = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
                         "benchmarks", "goldens")
 
 
+def _golden(name: str) -> bytes:
+    with open(os.path.join(_GOLDENS, name), "rb") as handle:
+        return handle.read()
+
+
 @pytest.mark.parametrize("artifact", ["table1", "table2", "figure1",
-                                      "ablations", "fleet"])
+                                      "ablations", "fleet", "overlay",
+                                      "migration"])
 def test_stdout_matches_golden(artifact, capsys):
     assert main([artifact, "--seed", "42"]) == 0
-    path = os.path.join(_GOLDENS, "%s-seed42.txt" % artifact)
-    with open(path, encoding="utf-8") as handle:
-        golden = handle.read()
+    golden = _golden("%s-seed42.txt" % artifact).decode("utf-8")
     assert capsys.readouterr().out == golden
+
+
+@pytest.mark.parametrize("command, target, golden", [
+    ("trace", "table1", "table1-trace-seed42.json"),
+    ("record", "table2", "table2-record-seed42.jsonl"),
+])
+def test_written_file_matches_golden(command, target, golden, tmp_path,
+                                     capsys):
+    out = tmp_path / golden
+    assert main([command, target, "--seed", "42", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == _golden(golden)

@@ -214,8 +214,8 @@ def test_host_lookaheads_tighter_than_site_for_lan_pairs():
     assert matrix[("uf-h0", "uf-h1")] == pytest.approx(0.003)
     # Cross-site entries can never undercut the site matrix.
     for (a, b), value in matrix.items():
-        site_a = net.site_of(a)
-        site_b = net.site_of(b)
+        site_a = net.host_attributes(a)["site"]
+        site_b = net.host_attributes(b)["site"]
         if site_a != site_b:
             assert value >= net.min_latency(site_a, site_b)
 
@@ -235,7 +235,8 @@ def test_partition_lookaheads_custom_grouping():
 
 def test_partition_lookaheads_site_partition_matches_site_matrix():
     net = build_three_sites(Simulation())
-    partition = {name: net.site_of(name) for name in net.hosts}
+    partition = {name: net.host_attributes(name)["site"]
+                 for name in net.hosts}
     assert net.partition_lookaheads(partition) == net.site_lookaheads()
 
 
@@ -252,10 +253,3 @@ def test_partition_lookaheads_disconnected_groups_are_infinite():
     net.add_host("b", site="right")  # no link
     matrix = net.partition_lookaheads({"a": "a", "b": "b"})
     assert matrix[("a", "b")] == float("inf")
-
-
-def test_site_of_reports_hosts_and_none_for_routers():
-    net = build_three_sites(Simulation())
-    assert net.site_of("uf-h0") == "uf"
-    assert net.site_of("backbone") is None
-    assert net.site_of("ghost") is None

@@ -6,7 +6,6 @@ from repro.simulation import RandomStreams
 def test_same_name_returns_same_stream():
     streams = RandomStreams(seed=1)
     assert streams.stream("disk") is streams.stream("disk")
-    assert streams.numpy_stream("x") is streams.numpy_stream("x")
 
 
 def test_different_names_are_independent():
@@ -41,12 +40,6 @@ def test_adding_consumer_does_not_perturb_existing():
     streams_b.stream("brand-new-component")  # extra consumer
     seq_b = [streams_b.stream("net").random() for _ in range(5)]
     assert seq_a == seq_b
-
-
-def test_numpy_stream_reproducible():
-    a = RandomStreams(seed=2).numpy_stream("w").normal(size=4)
-    b = RandomStreams(seed=2).numpy_stream("w").normal(size=4)
-    assert (a == b).all()
 
 
 def test_child_factories_are_independent_and_reproducible():

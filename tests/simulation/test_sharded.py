@@ -145,10 +145,10 @@ def test_plan_rejects_bad_matrices():
 
 
 def test_single_group_plan_and_shards_validation():
-    plan = ShardPlan.single("grid")
+    plan = ShardPlan(["grid"])
     assert plan.groups == ("grid",)
     # A one-group plan runs inline whatever the shard count asked for.
-    engine = ShardedSimulation(build_silent_world, ShardPlan.single("a"),
+    engine = ShardedSimulation(build_silent_world, ShardPlan(["a"]),
                                shards=4)
     assert engine.workers == 1
     assert engine.run().data("a") == "silent"
@@ -282,7 +282,7 @@ def test_worker_failure_propagates_with_context():
 
 
 def test_engine_rejects_unpicklable_builders():
-    plan = ShardPlan.single()
+    plan = ShardPlan(["grid"])
     with pytest.raises(ShardError):
         ShardedSimulation(lambda group, lookaheads: None, plan)
     with pytest.raises(ShardError):
