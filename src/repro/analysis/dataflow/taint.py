@@ -77,7 +77,7 @@ for _name in ("os.listdir", "os.scandir", "os.walk", "glob.glob",
 _ORDER_LAUNDERERS = frozenset({"sorted", "min", "max", "sum", "len"})
 
 #: Methods whose result is an RNG stream (``RandomStreams`` API).
-_STREAM_METHODS = frozenset({"stream", "numpy_stream"})
+_STREAM_METHODS = frozenset({"stream"})
 
 #: Event-returning factory methods on a Simulation/Resource.
 _EVENT_METHODS = frozenset({"timeout", "event", "all_of", "any_of",

@@ -61,7 +61,7 @@ which stay sequential by construction.
 multi-site scenario: one shard per site, up to N kernels in parallel
 under the deterministic conservative protocol of
 :mod:`repro.simulation.sharded` with adaptive windows
-(``--fixed-windows`` for the A/B schedule; ``docs/sharding.md``).
+(``docs/sharding.md``).
 Its artifacts are byte-identical for any shard count.  Any other
 command rejects ``--shards`` other than 1 (and any command but
 ``sanitize`` rejects ``--shard-model``), and the count arguments
@@ -155,8 +155,7 @@ def _cmd_fleet(args) -> None:
 
     result = run_fleet(sites=args.sites, sessions=args.sessions,
                        seed=args.seed, shards=args.shards,
-                       interval=args.interval, capacity=args.capacity,
-                       adaptive=not args.fixed_windows)
+                       interval=args.interval, capacity=args.capacity)
     print(result.render())
     print(result.merged_metrics().to_table(
         title="Fleet metrics (merged across %d site shard(s))"
@@ -395,10 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "parallel (default 1; results are "
                              "byte-identical for any value — see "
                              "docs/sharding.md)")
-    parser.add_argument("--fixed-windows", action="store_true",
-                        help="fleet: disable adaptive conservative "
-                             "windows (A/B the round count; artifacts "
-                             "other than the rounds row are identical)")
     parser.add_argument("--sites", type=_positive_int, default=3,
                         help="fleet: number of sites (default 3)")
     parser.add_argument("--sessions", type=_positive_int, default=3,

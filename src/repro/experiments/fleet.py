@@ -20,7 +20,7 @@ from the reference topology's :meth:`Network.min_latency`.  The
 scenario's outputs — the session table, merged metrics, merged flight
 record — are a pure function of ``(sites, sessions, seed)``: byte-
 identical for every ``shards`` value, which ``make shard-determinism``
-checks and ``benchmarks/test_sharded_throughput.py`` exploits.
+(``tests/experiments/test_fleet.py``) checks.
 
 Timeline per site (all times deterministic functions of the session
 index): a short *announce phase* early in the run sends one dispatch

@@ -174,12 +174,3 @@ def test_adaptive_rounds_placement_invariant(runs):
     assert runs[1].run.rounds == runs[2].run.rounds == runs[4].run.rounds
     assert runs[1].run.adaptive and runs[4].run.adaptive
 
-
-def test_cli_fixed_windows_flag(capsys):
-    outputs = {}
-    for flag in ((), ("--fixed-windows",)):
-        assert main(["fleet", "--sites", "3", "--sessions", "1",
-                     "--seed", "42"] + list(flag)) == 0
-        outputs[flag] = capsys.readouterr().out
-    adaptive, fixed = outputs[()], outputs[("--fixed-windows",)]
-    assert _strip_rounds(adaptive) == _strip_rounds(fixed)

@@ -1,8 +1,8 @@
 """Seed-42 output of every paper artifact, byte-compared to its golden.
 
 Each artifact's stdout is compared, and so are the files written by
-``repro trace table1`` (Chrome trace JSON) and ``repro record table2``
-(flight-record JSONL).
+``repro trace`` (Chrome trace JSON) and ``repro record`` (flight-record
+JSONL) for ``table1``, ``table2`` and ``figure1``.
 
 The goldens under ``benchmarks/goldens/`` are the behaviour contract:
 a change to the model layer that moves any printed digit fails here.
@@ -37,6 +37,10 @@ def test_stdout_matches_golden(artifact, capsys):
 @pytest.mark.parametrize("command, target, golden", [
     ("trace", "table1", "table1-trace-seed42.json"),
     ("record", "table2", "table2-record-seed42.jsonl"),
+    ("trace", "figure1", "figure1-trace-seed42.json"),
+    ("trace", "table2", "table2-trace-seed42.json"),
+    ("record", "table1", "table1-record-seed42.jsonl"),
+    ("record", "figure1", "figure1-record-seed42.jsonl"),
 ])
 def test_written_file_matches_golden(command, target, golden, tmp_path,
                                      capsys):
