@@ -1,45 +1,32 @@
-# Development entry points.  `make check` is the whole gate: the
-# simlint static-analysis pass over src/ (per-file rules plus the
-# `--deep` interprocedural pass, ratcheted against
-# analysis-baseline.json so only NEW findings fail), the shardcheck
-# shard-affinity pass (rules R15-R19, which also regenerates
-# docs/shard-safety.md), the scalecheck growth-dimension pass (rules
-# R22-R26, which regenerates docs/scale-readiness.md), and one run of
-# the tier-1 test suite, which holds every determinism, golden,
-# sanitizer and observability check.
+# Development entry points.  `make check` is the whole gate: `lint`,
+# one simlint run of every rule family over src/ — the per-file rules,
+# the `--deep` interprocedural pass, the `--shard` shard-affinity pass
+# (R15-R19) and the `--scale` growth-dimension pass (R22-R26) —
+# ratcheted against analysis-baseline.json so only NEW findings fail,
+# which also regenerates the docs/shard-safety.md and
+# docs/scale-readiness.md inventories; then one run of the tier-1 test
+# suite, which holds every determinism, golden, sanitizer and
+# observability check.
 
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint shardcheck scalecheck baseline test golden-guard \
-	parallel-determinism shard-determinism bench experiments
+.PHONY: check lint baseline test golden-guard parallel-determinism \
+	shard-determinism bench experiments
 
-check: lint shardcheck scalecheck test
+check: lint test
 
 lint:
-	$(PYTHON) -m repro.analysis --deep src/repro \
-	    --baseline analysis-baseline.json
-
-# The shard-affinity pass (rules R15-R19) over the model tree, under
-# the same ratchet, regenerating the docs/shard-safety.md inventory.
-shardcheck:
-	$(PYTHON) -m repro.analysis --shard src/repro \
+	$(PYTHON) -m repro.analysis --deep --shard --scale src/repro \
 	    --baseline analysis-baseline.json \
-	    --shard-inventory docs/shard-safety.md
-
-# The growth-dimension pass (rules R22-R26) over the model tree,
-# under the same ratchet, regenerating the docs/scale-readiness.md
-# inventory.
-scalecheck:
-	$(PYTHON) -m repro.analysis --scale src/repro \
-	    --baseline analysis-baseline.json \
+	    --shard-inventory docs/shard-safety.md \
 	    --scale-inventory docs/scale-readiness.md
 
 # Regenerate the findings baseline after paying down debt (the ratchet
 # only ever tightens: run this when `lint` reports stale entries, not
 # to absorb new findings).
 baseline:
-	$(PYTHON) -m repro.analysis --deep src/repro \
+	$(PYTHON) -m repro.analysis --deep --shard --scale src/repro \
 	    --write-baseline analysis-baseline.json
 
 test:

@@ -12,9 +12,13 @@ static-analysis framework ("simlint") that enforces exactly that:
 * events must not be silently lost.
 
 Run it as ``python -m repro.analysis src/repro`` or through the main
-CLI as ``python -m repro analyze``.  Rules are plugins; see
-:mod:`repro.analysis.rules` for the built-in set and
-``docs/static_analysis.md`` for how to write new ones.
+CLI as ``python -m repro analyze``.  Rules are plugins in one registry
+(:mod:`repro.analysis.core`); importing this package registers every
+built-in family — the per-file rules (:mod:`repro.analysis.rules`) and
+the project rules of ``--deep`` (:mod:`repro.analysis.dataflow`),
+``--shard`` (:mod:`repro.analysis.shard`) and ``--scale``
+(:mod:`repro.analysis.scale`).  ``docs/static_analysis.md`` shows how
+to write new ones.
 """
 
 from __future__ import annotations
@@ -22,16 +26,21 @@ from __future__ import annotations
 from repro.analysis.core import (
     Analyzer,
     Finding,
+    ProjectRule,
     Rule,
     RuleContext,
     analyze_paths,
     analyze_source,
+    default_rules,
+    register,
 )
-from repro.analysis.rules import default_rules, register
+# Importing the rule families fills the registry.
+from repro.analysis import dataflow, rules, scale, shard  # noqa: F401
 
 __all__ = [
     "Analyzer",
     "Finding",
+    "ProjectRule",
     "Rule",
     "RuleContext",
     "analyze_paths",

@@ -19,9 +19,12 @@ inventory (``docs/shard-safety.md``) from the same model.  ``--scale``
 adds the growth-dimension pass (complexity rules R22-R26; see
 :mod:`repro.analysis.scale`), and ``--scale-inventory FILE``
 regenerates the scale-readiness inventory (``docs/scale-readiness.md``)
-from the same model.  ``--explain R22`` prints one rule's full
+from the same model.  The flags select rule families: every selected
+rule runs through one :class:`~repro.analysis.core.Analyzer` pass that
+parses the tree once.  ``--explain R22`` prints one rule's full
 documentation — summary, rationale, fix pattern, suppression syntax —
-and exits.  ``--format sarif`` emits SARIF 2.1.0 for CI ingestion.
+rendered from the rule's docstring, and exits.  ``--format sarif``
+emits SARIF 2.1.0 for CI ingestion.
 ``--baseline`` filters findings down to the ones *not* recorded in a
 baseline file (the ratchet: legacy debt is absorbed, new findings
 fail); ``--write-baseline`` regenerates that file.
@@ -35,22 +38,32 @@ package itself is linted.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.analysis.baseline import (
     filter_new,
     load_baseline,
     render_baseline,
 )
-from repro.analysis.core import Analyzer, Finding
-from repro.analysis.rules import default_rules
+from repro.analysis.core import (
+    Analyzer,
+    Finding,
+    ParseErrorRule,
+    Rule,
+    default_rules,
+    registered_rule_classes,
+)
 from repro.analysis.sarif import render_sarif
+from repro.analysis.scale.inventory import render_inventory as scale_inventory
+from repro.analysis.scale.model import ScaleModel
+from repro.analysis.shard.inventory import render_inventory as shard_inventory
+from repro.analysis.shard.model import ShardModel
 
-__all__ = ["build_parser", "main", "run_analysis", "run_deep_analysis",
-           "run_shard_analysis", "run_scale_analysis"]
+__all__ = ["build_parser", "main", "explain_rule"]
 
 
 def _default_target() -> str:
@@ -118,98 +131,60 @@ def _filter_rules(rules, select: Optional[str], disable: Optional[str]):
     return rules
 
 
-def _pick_rules(select: Optional[str], disable: Optional[str]):
-    return _filter_rules(default_rules(), select, disable)
+def _card(rule: Rule) -> Dict[str, str]:
+    """The sections of ``rule``'s docstring, each joined to one line.
 
-
-def _pick_deep_rules(select: Optional[str], disable: Optional[str]):
-    from repro.analysis.dataflow import deep_rules
-
-    return _filter_rules(deep_rules(), select, disable)
-
-
-def _pick_shard_rules(select: Optional[str], disable: Optional[str]):
-    from repro.analysis.shard import shard_rules
-
-    return _filter_rules(shard_rules(), select, disable)
-
-
-def _pick_scale_rules(select: Optional[str], disable: Optional[str]):
-    from repro.analysis.scale import scale_rules
-
-    return _filter_rules(scale_rules(), select, disable)
-
-
-def run_analysis(paths: List[str], rules=None,
-                 project=None) -> List[Finding]:
-    """Lint ``paths`` (or the repro package when empty).
-
-    ``project`` is an optional pre-built
-    :class:`~repro.analysis.dataflow.symbols.ProjectModel` over the same
-    paths; its modules are linted from their parsed trees rather than
-    read and parsed a second time.
+    The first paragraph is ``<code>: <summary>``; the others start with
+    their heading (``Why it matters:``, ``Fix pattern:``, ``Example:``).
     """
-    parsed = None
-    if project is not None:
-        parsed = {module.path: (module.source, module.tree)
-                  for module in project.modules.values()}
-    return Analyzer(rules).analyze_paths(paths or [_default_target()],
-                                         parsed)
+    paragraphs = [" ".join(line.strip() for line in block.splitlines())
+                  for block in inspect.cleandoc(type(rule).__doc__)
+                  .split("\n\n")]
+    card = {"Summary": paragraphs[0].split(": ", 1)[1]}
+    for paragraph in paragraphs[1:]:
+        heading, text = paragraph.split(": ", 1)
+        card[heading] = text
+    return card
 
 
-def run_deep_analysis(paths: List[str], rules=None,
-                      project=None) -> List[Finding]:
-    """Run the interprocedural pass over ``paths``.
+def explain_rule(rule: str) -> str:
+    """The documentation card for ``rule`` (code or name, any case).
 
-    ``project`` is an optional pre-built
-    :class:`~repro.analysis.dataflow.symbols.ProjectModel`; the deep,
-    shard and scale passes all ride the same symbol table, so callers
-    running more than one pass parse the tree once and share it.
+    Raises ``KeyError`` when no registered rule (or E0) has that code or
+    name.
     """
-    from repro.analysis.dataflow import analyze_project
-    from repro.analysis.dataflow.taint import TaintEngine
-
-    engine = None if project is None else TaintEngine(project).run()
-    return analyze_project(paths or [_default_target()], rules=rules,
-                           engine=engine)
-
-
-def run_shard_analysis(paths: List[str], rules=None,
-                       inventory: Optional[str] = None,
-                       project=None) -> List[Finding]:
-    """Run the shard-affinity pass; optionally write the inventory."""
-    from repro.analysis.shard import analyze_shard, build_shard_model
-    from repro.analysis.shard.model import ShardModel
-
-    if project is None:
-        model = build_shard_model(paths or [_default_target()])
+    wanted = rule.strip().lower()
+    for cls in [ParseErrorRule] + registered_rule_classes():
+        if wanted in (cls.code.lower(), cls.name.lower()):
+            instance = cls()
+            break
     else:
-        model = ShardModel(project)
-    findings = analyze_shard(paths, rules=rules, model=model)
-    if inventory:
-        from repro.analysis.shard.inventory import write_inventory
-
-        write_inventory(model, inventory)
-    return findings
-
-
-def run_scale_analysis(paths: List[str], rules=None,
-                       inventory: Optional[str] = None,
-                       project=None) -> List[Finding]:
-    """Run the growth-dimension pass; optionally write the inventory."""
-    from repro.analysis.scale import analyze_scale, build_scale_model
-    from repro.analysis.scale.model import ScaleModel
-
-    if project is None:
-        model = build_scale_model(paths or [_default_target()])
-    else:
-        model = ScaleModel(project)
-    findings = analyze_scale(paths, rules=rules, model=model)
-    if inventory:
-        from repro.analysis.scale.inventory import write_inventory
-
-        write_inventory(model, inventory)
-    return findings
+        raise KeyError(rule)
+    card = _card(instance)
+    lines = [
+        "%s  %s  [%s pass]" % (instance.code, instance.name,
+                               instance.family),
+        "",
+        "Summary:",
+        "  " + card["Summary"],
+        "",
+        "Why it matters:",
+        "  " + card["Why it matters"],
+        "",
+        "Fix pattern:",
+        "  " + card["Fix pattern"],
+        "",
+        "Suppression:",
+        "  append `# simlint: disable=%s <why it is safe>` to the "
+        "line," % instance.code,
+        "  or `# simlint: disable-file=%s <why>` anywhere for the "
+        "whole file;" % instance.code,
+        "  the trailing prose is required and should say why, e.g.:",
+        "    " + card["Example"],
+        "",
+        "See: docs/static_analysis.md",
+    ]
+    return "\n".join(lines)
 
 
 def _render_text(findings: List[Finding], stream) -> None:
@@ -229,8 +204,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     if args.explain:
-        from repro.analysis.explain import explain_rule
-
         try:
             print(explain_rule(args.explain))
         except KeyError:
@@ -238,66 +211,34 @@ def main(argv: Optional[List[str]] = None) -> int:
                   % args.explain, file=sys.stderr)
             return 2
         return 0
-    if args.shard_inventory:
-        args.shard = True
-    if args.scale_inventory:
-        args.scale = True
-    rules = _pick_rules(args.select, args.disable)
-    deep = _pick_deep_rules(args.select, args.disable) if args.deep \
-        else []
-    shard = _pick_shard_rules(args.select, args.disable) if args.shard \
-        else []
-    scale = _pick_scale_rules(args.select, args.disable) if args.scale \
-        else []
+    # (model, renderer, file) for each inventory to regenerate; asking
+    # for one also selects its family.
+    inventories = [(model, render, path) for model, render, path in (
+        (ShardModel, shard_inventory, args.shard_inventory),
+        (ScaleModel, scale_inventory, args.scale_inventory)) if path]
+    families = ["per-file"]
+    families += [flag for flag, wanted in (
+        ("--deep", args.deep),
+        ("--shard", args.shard or args.shard_inventory),
+        ("--scale", args.scale or args.scale_inventory)) if wanted]
+    rules = _filter_rules(default_rules(families), args.select,
+                          args.disable)
     if args.list_rules:
         for rule in rules:
-            doc = (sys.modules[type(rule).__module__].__doc__ or "")
-            headline = doc.strip().splitlines()[0] if doc.strip() else ""
-            print("%s  %-16s %s" % (rule.code, rule.name, headline))
-        for rule in deep + shard + scale:
-            doc = (type(rule).__doc__ or "").strip()
-            headline = doc.splitlines()[0] if doc else ""
-            print("%s %-16s %s" % (rule.code, rule.name, headline))
+            print("%-4s %-28s %s" % (rule.code, rule.name,
+                                     _card(rule)["Summary"]))
         return 0
-    if not rules and not deep and not shard and not scale:
+    if not rules:
         print("simlint: no rules selected", file=sys.stderr)
         return 2
-    wants_deep = bool(args.deep and deep)
-    wants_shard = bool(args.shard and (shard or args.shard_inventory))
-    wants_scale = bool(args.scale and (scale or args.scale_inventory))
+    analyzer = Analyzer(rules)
     try:
-        project = None
-        if bool(rules) + wants_deep + wants_shard + wants_scale >= 2:
-            # Every pass starts from the same parsed modules, and the
-            # project passes from the same symbol table; build it once
-            # instead of once per pass.
-            from repro.analysis.dataflow.symbols import build_project
-
-            project = build_project(args.paths or [_default_target()])
-        findings = run_analysis(args.paths, rules, project) if rules \
-            else []
-        merged = {(f.path, f.line, f.col, f.code, f.message)
-                  for f in findings}
-
-        def _fold(extra: List[Finding]) -> None:
-            for finding in extra:
-                key = (finding.path, finding.line, finding.col,
-                       finding.code, finding.message)
-                if key not in merged:
-                    merged.add(key)
-                    findings.append(finding)
-
-        if wants_deep:
-            _fold(run_deep_analysis(args.paths, deep, project=project))
-        if wants_shard:
-            _fold(run_shard_analysis(args.paths, shard,
-                                     inventory=args.shard_inventory,
-                                     project=project))
-        if wants_scale:
-            _fold(run_scale_analysis(args.paths, scale,
-                                     inventory=args.scale_inventory,
-                                     project=project))
-        findings.sort(key=lambda f: f.sort_key)
+        findings = analyzer.analyze_paths(
+            args.paths or [_default_target()],
+            models=[model for model, _, _ in inventories])
+        for model, render, path in inventories:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(render(analyzer.models[model]))
     except OSError as exc:
         print("simlint: cannot read %s: %s"
               % (exc.filename or "path", exc.strerror or exc),
@@ -320,8 +261,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.format == "json":
         _render_json(findings, sys.stdout)
     elif args.format == "sarif":
-        sys.stdout.write(render_sarif(findings,
-                                      rules + deep + shard + scale))
+        sys.stdout.write(render_sarif(findings, rules))
     else:
         _render_text(findings, sys.stdout)
     return 1 if findings else 0

@@ -11,30 +11,18 @@ Layers, bottom up:
   iterated to an interprocedural fixpoint;
 * :mod:`~repro.analysis.dataflow.rules` — the deep rules R11–R14.
 
-:func:`analyze_project` is the one-call entry point: parse, resolve,
-run the fixpoint, run the deep rules, apply the standard simlint
-suppression comments, and return sorted
-:class:`~repro.analysis.core.Finding` objects.  Like the per-file
-engine it never imports the code under analysis.
+:class:`~repro.analysis.core.Analyzer` runs the deep rules like any
+other: it parses the tree once, builds the :class:`TaintEngine` from
+that parse, and applies the standard simlint suppression comments.
+Like the per-file engine it never imports the code under analysis.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable
 
-from repro.analysis.core import (
-    PARSE_ERROR,
-    Finding,
-    _parse_suppressions,
-    _suppressed,
-)
+from repro.analysis.dataflow import rules  # noqa: F401  (registers R11-R14)
 from repro.analysis.dataflow.callgraph import CallGraph, resolve_call
-from repro.analysis.dataflow.rules import (
-    DeepRule,
-    deep_rules,
-    register_deep,
-    registered_deep_rule_classes,
-)
 from repro.analysis.dataflow.symbols import (
     ModuleInfo,
     ProjectModel,
@@ -42,56 +30,10 @@ from repro.analysis.dataflow.symbols import (
 )
 from repro.analysis.dataflow.taint import TaintEngine
 
-__all__ = ["analyze_project", "build_project", "build_engine",
-           "CallGraph", "DeepRule", "deep_rules", "register_deep",
-           "registered_deep_rule_classes", "ProjectModel", "ModuleInfo",
-           "TaintEngine", "resolve_call"]
+__all__ = ["build_project", "build_engine", "CallGraph", "ProjectModel",
+           "ModuleInfo", "TaintEngine", "resolve_call"]
 
 
 def build_engine(paths: Iterable[str]) -> TaintEngine:
     """Parse ``paths`` and run the taint fixpoint; returns the engine."""
-    return TaintEngine(build_project(paths)).run()
-
-
-def analyze_project(paths: Iterable[str],
-                    rules: Optional[Iterable[DeepRule]] = None,
-                    engine: Optional[TaintEngine] = None
-                    ) -> List[Finding]:
-    """Run the deep rules over every module under ``paths``.
-
-    Suppression comments (``# simlint: disable=R11`` and
-    ``disable-file=``) work exactly as for the per-file rules.  Files
-    that do not parse yield one ``E0`` finding each, mirroring the
-    shallow engine.
-    """
-    if engine is None:
-        engine = build_engine(paths)
-    project = engine.project
-    findings: List[Finding] = []
-    for path in sorted(project.parse_errors):
-        lineno, message = project.parse_errors[path]
-        findings.append(Finding(path, lineno, 1, PARSE_ERROR,
-                                "parse-error",
-                                "file does not parse: %s" % message))
-    if rules is None:
-        rules = deep_rules()
-    seen = set()
-    for rule in sorted(rules, key=lambda r: r.code):
-        for finding in rule.check_project(engine):
-            key = (finding.path, finding.line, finding.col, finding.code,
-                   finding.message)
-            if key not in seen:
-                seen.add(key)
-                findings.append(finding)
-    # Apply per-module suppression comments.
-    suppressions = {}
-    for module in project.modules.values():
-        suppressions[module.path] = _parse_suppressions(module.source)
-    kept = []
-    for finding in findings:
-        per_line, whole_file = suppressions.get(finding.path,
-                                                ({}, set()))
-        if not _suppressed(finding, per_line, whole_file):
-            kept.append(finding)
-    kept.sort(key=lambda f: f.sort_key)
-    return kept
+    return TaintEngine(build_project(paths))

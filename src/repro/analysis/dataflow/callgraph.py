@@ -20,15 +20,16 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
+from repro.analysis.core import dotted_name
 from repro.analysis.dataflow.symbols import (
     ClassInfo,
     FunctionInfo,
     ModuleInfo,
     ProjectModel,
+    own_nodes,
 )
 
-__all__ = ["Resolution", "CallGraph", "resolve_call", "iter_calls",
-           "own_nodes"]
+__all__ = ["Resolution", "CallGraph", "resolve_call", "iter_calls"]
 
 
 class Resolution:
@@ -56,17 +57,6 @@ class Resolution:
         return "<Resolution external=%s>" % self.external
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def resolve_call(project: ProjectModel, caller: FunctionInfo,
                  call: ast.Call) -> Resolution:
     """Resolve ``call`` as written inside ``caller``."""
@@ -77,7 +67,7 @@ def resolve_call(project: ProjectModel, caller: FunctionInfo,
         return _resolve_name(project, module, func.id)
 
     if isinstance(func, ast.Attribute):
-        dotted = _dotted(func)
+        dotted = dotted_name(func)
         if dotted is None:
             return Resolution()
         head, _, rest = dotted.partition(".")
@@ -126,35 +116,6 @@ def _constructor(project: ProjectModel, klass: ClassInfo) -> Resolution:
     init = project.method(klass, "__init__")
     return Resolution(target=init, external=klass.qualname,
                       is_constructor=True)
-
-
-#: Attribute under which :func:`own_nodes` memoises a scope's nodes.
-_OWN_NODES_ATTR = "_simlint_own_nodes"
-
-
-def own_nodes(scope: ast.AST) -> Tuple[ast.AST, ...]:
-    """Every node of ``scope``'s own body, not descending into nested
-    scopes (defs, lambdas, classes), depth-first, last child first.
-
-    Every pass of the analyser reads the same function bodies, most of
-    them several times, so the walk is done once per scope and the
-    tuple is kept on the scope node itself: the memo lives exactly as
-    long as the tree it describes.
-    """
-    nodes = getattr(scope, _OWN_NODES_ATTR, None)
-    if nodes is None:
-        found: List[ast.AST] = []
-        todo: List[ast.AST] = list(ast.iter_child_nodes(scope))
-        while todo:
-            node = todo.pop()
-            found.append(node)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda, ast.ClassDef)):
-                continue
-            todo.extend(ast.iter_child_nodes(node))
-        nodes = tuple(found)
-        setattr(scope, _OWN_NODES_ATTR, nodes)
-    return nodes
 
 
 def iter_calls(func: FunctionInfo) -> Iterator[ast.Call]:

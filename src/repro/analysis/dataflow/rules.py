@@ -1,7 +1,8 @@
 """The interprocedural rules R11–R14, powered by the taint engine.
 
-Unlike the per-file rules in :mod:`repro.analysis.rules`, a
-:class:`DeepRule` sees the whole project at once — the symbol table,
+Unlike the per-file rules in :mod:`repro.analysis.rules`, these
+project rules read the :class:`TaintEngine`, so they see the whole
+project at once — the symbol table,
 the call graph and the taint fixpoint — so it can flag flows the
 single-file pass structurally cannot:
 
@@ -20,15 +21,15 @@ single-file pass structurally cannot:
   filesystem-dependent flows into a scheduling key or into trace /
   metric output, making timelines and metrics differ run to run.
 
-Deep rules register with :func:`register_deep`; :func:`deep_rules`
-returns fresh instances in code order, mirroring the per-file registry.
+Each registers with :func:`repro.analysis.core.register` like every
+other rule; ``--deep`` selects them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Type
+from typing import Iterator
 
-from repro.analysis.core import Finding
+from repro.analysis.core import Finding, ProjectRule, register
 from repro.analysis.dataflow.taint import (
     ENTROPY,
     UNORDERED,
@@ -38,65 +39,8 @@ from repro.analysis.dataflow.taint import (
     TaintEngine,
 )
 
-__all__ = ["DeepRule", "register_deep", "deep_rules",
-           "registered_deep_rule_classes", "TaintedSimStateRule",
-           "RngStreamEscapeRule", "HelperEventDiscardedRule",
-           "UnorderedKeyTaintRule"]
-
-#: Populated only by the ``register_deep`` decorations at import time,
-#: read-only afterwards — identical in every process, so it cannot
-#: couple shards.
-_DEEP_REGISTRY: List[Type["DeepRule"]] = []  # simlint: disable=R15  import-time registry, read-only after import
-
-
-def register_deep(rule_class: Type["DeepRule"]) -> Type["DeepRule"]:
-    """Class decorator: add a DeepRule subclass to the deep rule set."""
-    if not (isinstance(rule_class, type)
-            and issubclass(rule_class, DeepRule)):
-        raise TypeError("register_deep() expects a DeepRule subclass, "
-                        "got %r" % (rule_class,))
-    if any(existing.code == rule_class.code
-           for existing in _DEEP_REGISTRY):
-        raise ValueError("duplicate deep rule code %s" % rule_class.code)
-    _DEEP_REGISTRY.append(rule_class)
-    return rule_class
-
-
-def registered_deep_rule_classes() -> List[Type["DeepRule"]]:
-    """The registered classes, sorted by code (R12 before R13)."""
-    return sorted(_DEEP_REGISTRY,
-                  key=lambda cls: (len(cls.code), cls.code))
-
-
-def deep_rules() -> List["DeepRule"]:
-    """Fresh instances of every registered deep rule."""
-    return [cls() for cls in registered_deep_rule_classes()]
-
-
-class DeepRule:
-    """Base class for whole-program rules.
-
-    Subclasses set ``code``/``name`` and implement :meth:`check_project`,
-    yielding :class:`~repro.analysis.core.Finding` objects.  Findings
-    use the same shape, sorting, and suppression machinery as the
-    per-file rules, so one CLI renders both.
-    """
-
-    code: str = "R0"
-    name: str = "abstract-deep-rule"
-
-    def check_project(self,
-                      engine: TaintEngine) -> Iterator[Finding]:
-        """Yield findings over the analyzed project."""
-        return iter(())  # pragma: no cover
-
-    def finding(self, site: CallSite, message: str) -> Finding:
-        node = site.node
-        return Finding(site.caller.module.path, node.lineno,
-                       node.col_offset + 1, self.code, self.name, message)
-
-    def __repr__(self) -> str:
-        return "<DeepRule %s %s>" % (self.code, self.name)
+__all__ = ["TaintedSimStateRule", "RngStreamEscapeRule",
+           "HelperEventDiscardedRule", "UnorderedKeyTaintRule"]
 
 
 def _callee_label(site: CallSite) -> str:
@@ -131,12 +75,25 @@ def _is_sink(site: CallSite, names: frozenset) -> bool:
                 in ("Random", "RandomStreams"))
 
 
-@register_deep
-class TaintedSimStateRule(DeepRule):
-    """R11: host nondeterminism flowing into sim state (cross-function)."""
+@register
+class TaintedSimStateRule(ProjectRule):
+    """R11: host nondeterminism flowing into sim state (cross-function).
+
+    Why it matters: time.time()/os.environ/hash() values that travel
+    through helper returns into event payloads or model attributes make
+    two same-seed runs diverge, even when the read and the write are in
+    different functions.
+
+    Fix pattern: Cut the flow: derive the value from sim.now, the root
+    seed, or configuration instead.
+
+    Example: stamp = self._host_id()  # simlint: disable=R11 diagnostic
+    label only, never ordered on
+    """
 
     code = "R11"
     name = "tainted-sim-state"
+    model = TaintEngine
 
     _KINDS = {WALLCLOCK, ENTROPY, WORKER}
 
@@ -147,7 +104,7 @@ class TaintedSimStateRule(DeepRule):
                     continue
                 for arg, kinds in site.tainted_args(self._KINDS):
                     yield self.finding(
-                        site,
+                        site.caller.module.path, site.node,
                         "argument %s of %s() carries %s taint — sim "
                         "state must be a pure function of the seed; "
                         "derive the value from sim.now or sim.streams"
@@ -155,12 +112,25 @@ class TaintedSimStateRule(DeepRule):
                            "/".join(sorted(kinds))))
 
 
-@register_deep
-class RngStreamEscapeRule(DeepRule):
-    """R12: a named RNG stream re-seeded or forked non-derivably."""
+@register
+class RngStreamEscapeRule(ProjectRule):
+    """R12: a named RNG stream re-seeded or forked non-derivably.
+
+    Why it matters: RandomStreams guarantees per-name independence only
+    while streams are derived through its API; re-seeding one from
+    arbitrary data or aliasing it out re-couples draws across
+    components.
+
+    Fix pattern: Always obtain streams via streams.stream(name) and
+    never call .seed() on one.
+
+    Example: s.seed(n)  # simlint: disable=R12 n is itself derived from
+    the root seed upstream
+    """
 
     code = "R12"
     name = "rng-stream-escape"
+    model = TaintEngine
 
     def check_project(self, engine: TaintEngine) -> Iterator[Finding]:
         for qualname in sorted(engine.call_sites):
@@ -172,7 +142,7 @@ class RngStreamEscapeRule(DeepRule):
         # Direct re-seed of a stream value in hand.
         if site.func_attr == "seed" and site.receiver_is_stream:
             yield self.finding(
-                site,
+                site.caller.module.path, site.node,
                 "re-seeding a sim.streams stream discards its "
                 "derivation from the root seed and correlates it with "
                 "other consumers; request a fresh named stream instead")
@@ -195,7 +165,7 @@ class RngStreamEscapeRule(DeepRule):
                         else None
                     if info is not None and info.is_stream:
                         yield self.finding(
-                            site,
+                            site.caller.module.path, site.node,
                             "RNG stream escapes to %s(), which re-seeds "
                             "or forks parameter '%s'; streams must stay "
                             "derivable from the root seed"
@@ -205,7 +175,7 @@ class RngStreamEscapeRule(DeepRule):
             for arg in site.args:
                 if arg.draws_stream:
                     yield self.finding(
-                        site,
+                        site.caller.module.path, site.node,
                         "new generator seeded from a stream's draws: "
                         "the child depends on the stream's consumption "
                         "position, not the root seed; use "
@@ -226,12 +196,24 @@ def _is_fork_site(site: CallSite) -> bool:
                 in ("Random", "RandomStreams"))
 
 
-@register_deep
-class HelperEventDiscardedRule(DeepRule):
-    """R13: discarding the Event returned (transitively) by a helper."""
+@register
+class HelperEventDiscardedRule(ProjectRule):
+    """R13: discarding the Event returned (transitively) by a helper.
+
+    Why it matters: A helper that returns sim.timeout(...)'s event is an
+    R4 hazard one call away: invoking it as a bare statement loses the
+    event just as surely, and the per-file rule cannot see it.
+
+    Fix pattern: Yield or store the helper's return value; rename
+    helpers that intentionally fire-and-forget so they return None.
+
+    Example: self._kick()  # simlint: disable=R13 _kick schedules via
+    call_at internally, return is advisory
+    """
 
     code = "R13"
     name = "helper-event-discarded"
+    model = TaintEngine
 
     def check_project(self, engine: TaintEngine) -> Iterator[Finding]:
         for qualname in sorted(engine.call_sites):
@@ -246,7 +228,7 @@ class HelperEventDiscardedRule(DeepRule):
                         callee.info.is_generator:
                     continue
                 yield self.finding(
-                    site,
+                    site.caller.module.path, site.node,
                     "%s() returns an Event (via its call graph) but the "
                     "result is discarded — the event is lost; yield it "
                     "or store it" % res.target.name)
@@ -259,12 +241,23 @@ _ORDER_SINKS = frozenset({"timeout", "succeed", "fail", "spawn",
                           "begin", "counter", "gauge", "histogram"})
 
 
-@register_deep
-class UnorderedKeyTaintRule(DeepRule):
-    """R14: hash/filesystem iteration order reaching keys or output."""
+@register
+class UnorderedKeyTaintRule(ProjectRule):
+    """R14: hash/filesystem iteration order reaching keys or output.
+
+    Why it matters: os.listdir()/glob() order and set/dict-over-hash
+    order vary across hosts; when such an ordering reaches event keys or
+    artifact rows, byte-identical output is impossible.
+
+    Fix pattern: sorted() at the source, before the order can propagate.
+
+    Example: names = os.listdir(d)  # simlint: disable=R14 sorted() two
+    lines below before use
+    """
 
     code = "R14"
     name = "unordered-key-taint"
+    model = TaintEngine
 
     def check_project(self, engine: TaintEngine) -> Iterator[Finding]:
         for qualname in sorted(engine.call_sites):
@@ -273,7 +266,7 @@ class UnorderedKeyTaintRule(DeepRule):
                     continue
                 for arg, _kinds in site.tainted_args({UNORDERED}):
                     yield self.finding(
-                        site,
+                        site.caller.module.path, site.node,
                         "argument %s of %s() derives from unordered "
                         "iteration (set / directory listing): scheduling "
                         "keys and trace/metric output must not depend "

@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import ast
 import os
-import tokenize
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.analysis.core import dotted_name, python_files, read_source
+
 __all__ = ["FunctionInfo", "ClassInfo", "ModuleInfo", "ProjectModel",
-           "module_name_for", "build_project"]
+           "module_name_for", "build_project", "own_nodes",
+           "has_own_yield"]
 
 
 def module_name_for(path: str) -> str:
@@ -36,6 +38,41 @@ def module_name_for(path: str) -> str:
         directory, pkg = os.path.split(directory)
         parts.append(pkg)
     return ".".join(reversed(parts)) or stem
+
+
+#: Attribute under which :func:`own_nodes` memoises a scope's nodes.
+_OWN_NODES_ATTR = "_simlint_own_nodes"
+
+
+def own_nodes(scope: ast.AST) -> Tuple[ast.AST, ...]:
+    """Every node of ``scope``'s own body, not descending into nested
+    scopes (defs, lambdas, classes), depth-first, last child first.
+
+    Every pass of the analyser reads the same function bodies, most of
+    them several times, so the walk is done once per scope and the
+    tuple is kept on the scope node itself: the memo lives exactly as
+    long as the tree it describes.
+    """
+    nodes = getattr(scope, _OWN_NODES_ATTR, None)
+    if nodes is None:
+        found: List[ast.AST] = []
+        todo: List[ast.AST] = list(ast.iter_child_nodes(scope))
+        while todo:
+            node = todo.pop()
+            found.append(node)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda, ast.ClassDef)):
+                continue
+            todo.extend(ast.iter_child_nodes(node))
+        nodes = tuple(found)
+        setattr(scope, _OWN_NODES_ATTR, nodes)
+    return nodes
+
+
+def has_own_yield(func: ast.AST) -> bool:
+    """Does ``func`` yield, not counting nested scopes (a sim process)?"""
+    return any(isinstance(node, (ast.Yield, ast.YieldFrom))
+               for node in own_nodes(func))
 
 
 class FunctionInfo:
@@ -53,7 +90,7 @@ class FunctionInfo:
         local = name if class_name is None else "%s.%s" % (class_name, name)
         #: Fully qualified: ``pkg.mod.func`` or ``pkg.mod.Class.method``.
         self.qualname = "%s.%s" % (module.name, local)
-        self.is_generator = _has_own_yield(node)
+        self.is_generator = has_own_yield(node)
         self.params = [arg.arg for arg in node.args.args]
 
     @property
@@ -76,7 +113,7 @@ class ClassInfo:
         self.qualname = "%s.%s" % (module.name, name)
         self.bases: List[str] = []
         for base in node.bases:
-            dotted = _dotted(base)
+            dotted = dotted_name(base)
             if dotted:
                 self.bases.append(dotted)
 
@@ -171,8 +208,8 @@ class ProjectModel:
         #: Fully qualified name -> FunctionInfo, for every function.
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
-        #: Modules that failed to parse: path -> (lineno, message).
-        self.parse_errors: Dict[str, Tuple[int, str]] = {}
+        #: Modules that failed to parse: path -> the SyntaxError.
+        self.parse_errors: Dict[str, SyntaxError] = {}
 
     def add_module(self, module: ModuleInfo) -> None:
         self.modules[module.name] = module
@@ -186,7 +223,7 @@ class ProjectModel:
         try:
             tree = ast.parse(source, filename=path)
         except SyntaxError as exc:
-            self.parse_errors[path] = (exc.lineno or 1, exc.msg or "")
+            self.parse_errors[path] = exc
             return None
         module = ModuleInfo(module_name_for(path), path, source, tree)
         self.add_module(module)
@@ -240,44 +277,6 @@ class ProjectModel:
 def build_project(paths: Iterable[str]) -> ProjectModel:
     """Parse every ``.py`` file under ``paths`` into a ProjectModel."""
     project = ProjectModel()
-    for path in paths:
-        if os.path.isdir(path):
-            for directory, dirnames, filenames in os.walk(path):
-                dirnames.sort()
-                for filename in sorted(filenames):
-                    if filename.endswith(".py"):
-                        full = os.path.join(directory, filename)
-                        project.add_source(_read(full), full)
-        else:
-            project.add_source(_read(path), path)
+    for path in python_files(paths):
+        project.add_source(read_source(path), path)
     return project
-
-
-def _read(path: str) -> str:
-    with tokenize.open(path) as handle:
-        return handle.read()
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def _has_own_yield(func: ast.AST) -> bool:
-    """Does ``func`` yield, not counting nested function bodies?"""
-    todo: List[ast.AST] = list(ast.iter_child_nodes(func))
-    while todo:
-        node = todo.pop()
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            return True
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            continue
-        todo.extend(ast.iter_child_nodes(node))
-    return False

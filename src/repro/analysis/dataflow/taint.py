@@ -30,12 +30,13 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.dataflow.callgraph import (
-    Resolution,
+from repro.analysis.core import is_self_attr
+from repro.analysis.dataflow.callgraph import Resolution, resolve_call
+from repro.analysis.dataflow.symbols import (
+    FunctionInfo,
+    ProjectModel,
     own_nodes,
-    resolve_call,
 )
-from repro.analysis.dataflow.symbols import FunctionInfo, ProjectModel
 
 __all__ = ["WALLCLOCK", "ENTROPY", "WORKER", "UNORDERED",
            "FunctionSummary", "ArgInfo", "CallSite", "TaintEngine"]
@@ -191,7 +192,11 @@ class _FnState:
 
 
 class TaintEngine:
-    """Builds summaries and call sites for a project (see module doc)."""
+    """Summaries and call sites for a project, iterated to the fixpoint
+    on construction (see module doc)."""
+
+    #: The command-line switch of the rules that read this model.
+    flag = "--deep"
 
     #: Safety bound on global fixpoint rounds; real projects converge
     #: in a handful because the lattice is four bits per value.
@@ -208,13 +213,14 @@ class TaintEngine:
         self.attr_setlike: Set[Tuple[str, str]] = set()
         self._resolutions: Dict[int, Resolution] = {}
         self._changed = False
-        #: caller qualname -> call sites, built by :meth:`run`.
+        #: caller qualname -> call sites, built by :meth:`_solve`.
         self.call_sites: Dict[str, List[CallSite]] = {}
         self._seed_reseeds()
+        self._solve()
 
-    # -- public --------------------------------------------------------------
+    # -- fixpoint ------------------------------------------------------------
 
-    def run(self) -> "TaintEngine":
+    def _solve(self) -> None:
         """Iterate to fixpoint, then freeze per-call-site facts."""
         order = sorted(self.summaries)
         for _round in range(self.MAX_ROUNDS):
@@ -226,7 +232,8 @@ class TaintEngine:
         for qualname in order:
             self.call_sites[qualname] = self._build_call_sites(
                 self.summaries[qualname])
-        return self
+
+    # -- public --------------------------------------------------------------
 
     def summary(self, qualname: str) -> Optional[FunctionSummary]:
         return self.summaries.get(qualname)
@@ -642,9 +649,7 @@ def _target_names(target: ast.AST) -> Iterator[str]:
 
 
 def _is_self_attr(node: ast.AST, info: FunctionInfo) -> bool:
-    return (info.is_method and isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self")
+    return info.is_method and is_self_attr(node)
 
 
 def _unwrap_order_preserving(expr: ast.AST) -> ast.AST:

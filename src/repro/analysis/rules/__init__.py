@@ -1,59 +1,35 @@
-"""Built-in simlint rules and the plugin registry.
+"""The built-in per-file simlint rules.
 
-A rule registers itself with the :func:`register` decorator::
+A rule registers itself with the
+:func:`~repro.analysis.core.register` decorator::
 
-    from repro.analysis.core import Rule
-    from repro.analysis.rules import register
+    from repro.analysis.core import Rule, register
 
     @register
     class MyRule(Rule):
-        code = "R10"
+        '''R27: the one-line summary --list-rules prints.
+
+        Why it matters: ...
+
+        Fix pattern: ...
+
+        Example: ...
+        '''
+
+        code = "R27"
         name = "my-rule"
         ...
 
 Importing this package imports every built-in rule module, which fills
 the registry as a side effect; third-party extensions import and call
-:func:`register` themselves before constructing an
+:func:`~repro.analysis.core.register` themselves before constructing an
 :class:`~repro.analysis.core.Analyzer`.
 """
 
 from __future__ import annotations
 
-from typing import List, Type
-
-from repro.analysis.core import Rule
-
-__all__ = ["register", "default_rules", "registered_rule_classes"]
-
-#: Populated only by the ``@register`` decorations at import time,
-#: read-only afterwards — identical in every process, so it cannot
-#: couple shards.
-_REGISTRY: List[Type[Rule]] = []  # simlint: disable=R15  import-time registry, read-only after import
-
-
-def register(rule_class: Type[Rule]) -> Type[Rule]:
-    """Class decorator: add a Rule subclass to the default rule set."""
-    if not (isinstance(rule_class, type) and issubclass(rule_class, Rule)):
-        raise TypeError("register() expects a Rule subclass, got %r"
-                        % (rule_class,))
-    if any(existing.code == rule_class.code for existing in _REGISTRY):
-        raise ValueError("duplicate rule code %s" % rule_class.code)
-    _REGISTRY.append(rule_class)
-    return rule_class
-
-
-def registered_rule_classes() -> List[Type[Rule]]:
-    """The registered classes, sorted by code (R2 before R10)."""
-    return sorted(_REGISTRY, key=lambda cls: (len(cls.code), cls.code))
-
-
-def default_rules() -> List[Rule]:
-    """Fresh instances of every registered rule."""
-    return [cls() for cls in registered_rule_classes()]
-
-
 # Importing the built-in rule modules populates the registry.
-from repro.analysis.rules import (  # noqa: E402,F401  (import for effect)
+from repro.analysis.rules import (  # noqa: F401  (import for effect)
     blocking,
     collectors,
     events,

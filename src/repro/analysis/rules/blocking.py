@@ -14,8 +14,13 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.core import Finding, Rule, RuleContext, dotted_name
-from repro.analysis.rules import register
+from repro.analysis.core import (
+    Finding,
+    Rule,
+    RuleContext,
+    dotted_name,
+    register,
+)
 
 __all__ = ["BlockingCallRule"]
 
@@ -33,7 +38,18 @@ _BLOCKING_NAMES = frozenset({"sleep", "input"})
 
 @register
 class BlockingCallRule(Rule):
-    """Flag blocking calls inside generator (process) functions."""
+    """R5: simulation processes must not block the host.
+
+    Why it matters: A process is a generator resumed by the event loop;
+    time.sleep() stalls the whole simulation without advancing sim.now,
+    and blocking I/O couples the run to the outside world.
+
+    Fix pattern: Replace sleeps with `yield sim.timeout(...)`; move I/O
+    out of process bodies into harness code.
+
+    Example: time.sleep(0.1)  # simlint: disable=R5 demo pacing in
+    example script, not a model
+    """
 
     code = "R5"
     name = "blocking-call"
@@ -50,6 +66,6 @@ class BlockingCallRule(Rule):
             return
         if ctx.in_simulation_process(node):
             yield self.finding(
-                ctx, node,
+                ctx.path, node,
                 "%s() blocks the host inside a simulation process; "
                 "yield sim.timeout(...) instead" % blocked)

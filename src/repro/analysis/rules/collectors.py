@@ -19,8 +19,13 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.core import Finding, Rule, RuleContext, dotted_name
-from repro.analysis.rules import register
+from repro.analysis.core import (
+    Finding,
+    Rule,
+    RuleContext,
+    dotted_name,
+    register,
+)
 
 __all__ = ["UnboundedCollectorRule"]
 
@@ -33,7 +38,18 @@ _RETENTION_KWARGS = frozenset({"window", "max_samples"})
 
 @register
 class UnboundedCollectorRule(Rule):
-    """Flag collector constructions that never choose a retention bound."""
+    """R20: streaming collectors must make a retention choice.
+
+    Why it matters: A TimeSeriesMonitor with neither window= nor
+    max_samples= keeps every sample forever — the classic slow leak
+    invisible at paper scale and fatal on steady-state runs.
+
+    Fix pattern: Pass a retention bound, or an explicit window=None to
+    state that full history is the product.
+
+    Example: mon = TimeSeriesMonitor(sim)  # simlint: disable=R20
+    fixture asserts on full history
+    """
 
     code = "R20"
     name = "unbounded-collector"
@@ -54,7 +70,7 @@ class UnboundedCollectorRule(Rule):
             if keyword.arg in _RETENTION_KWARGS:
                 return
         yield self.finding(
-            ctx, node,
+            ctx.path, node,
             "%s() without window= or max_samples= retains every sample "
             "forever; pass a retention bound, or window=None to declare "
             "the series deliberately unbounded" % dotted)

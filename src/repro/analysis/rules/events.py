@@ -17,8 +17,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.core import Finding, Rule, RuleContext
-from repro.analysis.rules import register
+from repro.analysis.core import Finding, Rule, RuleContext, register
 
 __all__ = ["LostEventRule"]
 
@@ -30,7 +29,19 @@ _EVENT_CLASSES = frozenset({"Event", "Timeout", "Condition"})
 
 @register
 class LostEventRule(Rule):
-    """Flag event-producing calls whose result is discarded."""
+    """R4: an event that is neither yielded nor stored is lost.
+
+    Why it matters: `self.sim.timeout(q)` as a bare statement schedules
+    a timeout nobody observes: the process continues at the same instant
+    and the model silently loses time.  The most common DES typo; it
+    never raises.
+
+    Fix pattern: Yield the event (`yield sim.timeout(q)`), store it, or
+    compose it with all_of/any_of.
+
+    Example: sim.timeout(0)  # simlint: disable=R4 deliberate
+    queue-depth probe, result unused
+    """
 
     code = "R4"
     name = "lost-event"
@@ -43,11 +54,11 @@ class LostEventRule(Rule):
         func = call.func
         if isinstance(func, ast.Attribute) and func.attr in _EVENT_METHODS:
             yield self.finding(
-                ctx, node,
+                ctx.path, node,
                 "result of %s() is discarded — the event is lost; yield "
                 "it or store it" % func.attr)
         elif isinstance(func, ast.Name) and func.id in _EVENT_CLASSES:
             yield self.finding(
-                ctx, node,
+                ctx.path, node,
                 "%s(...) instance is discarded — the event is lost; "
                 "yield it or store it" % func.id)

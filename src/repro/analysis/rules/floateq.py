@@ -19,8 +19,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.core import Finding, Rule, RuleContext
-from repro.analysis.rules import register
+from repro.analysis.core import Finding, Rule, RuleContext, register
 
 __all__ = ["FloatTimeEqRule"]
 
@@ -40,7 +39,18 @@ def _is_time_like(expr: ast.AST) -> bool:
 
 @register
 class FloatTimeEqRule(Rule):
-    """Flag exact equality comparisons on simulation-time values."""
+    """R6: float simulation time must not be compared with ==.
+
+    Why it matters: Timestamps are floats accumulated through
+    arithmetic; two logically simultaneous times routinely differ in the
+    last ulp, so == works on one machine and silently fails on another.
+
+    Fix pattern: Compare with an epsilon (`abs(a - b) <= EPS`) or let
+    the kernel's event ordering make the decision.
+
+    Example: if t == deadline:  # simlint: disable=R6 deadline is copied
+    from t, bit-identical by construction
+    """
 
     code = "R6"
     name = "float-time-eq"
@@ -60,7 +70,7 @@ class FloatTimeEqRule(Rule):
                             and other.value is None:
                         continue
                     yield self.finding(
-                        ctx, node,
+                        ctx.path, node,
                         "exact ==/!= on simulation time is float-fragile;"
                         " compare against an epsilon")
                     break

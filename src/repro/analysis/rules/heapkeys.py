@@ -21,8 +21,13 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
-from repro.analysis.core import Finding, Rule, RuleContext, dotted_name
-from repro.analysis.rules import register
+from repro.analysis.core import (
+    Finding,
+    Rule,
+    RuleContext,
+    dotted_name,
+    register,
+)
 
 __all__ = ["HeapKeyRule"]
 
@@ -39,7 +44,20 @@ def _heappush_item(node: ast.Call) -> Optional[ast.AST]:
 
 @register
 class HeapKeyRule(Rule):
-    """Flag heap pushes whose keys lack a total order."""
+    """R8: heap entries must have a total order.
+
+    Why it matters: heapq falls through to comparing payloads when
+    leading tuple elements tie; `(when, event)` works until two events
+    share a timestamp, then raises TypeError mid-run or orders by id()
+    nondeterministically.
+
+    Fix pattern: Push `(time, priority, monotonic_id, payload)` — a
+    unique integer tie-breaker before the payload, as the kernel queue
+    does.
+
+    Example: heappush(q, (t, job))  # simlint: disable=R8 job is an int
+    rank, totally ordered
+    """
 
     code = "R8"
     name = "heap-key"
@@ -53,13 +71,13 @@ class HeapKeyRule(Rule):
             if len(item.elts) < 3 \
                     and not isinstance(item.elts[-1], ast.Constant):
                 yield self.finding(
-                    ctx, node,
+                    ctx.path, node,
                     "heap entry (key, payload) compares payloads on key "
                     "ties; insert a unique monotonic counter before the "
                     "payload")
         elif isinstance(item, ast.Call):
             yield self.finding(
-                ctx, node,
+                ctx.path, node,
                 "pushing a bare object onto a heap relies on the object "
                 "defining a total order; push a (key, counter, object) "
                 "tuple")

@@ -14,8 +14,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.core import Finding, Rule, RuleContext
-from repro.analysis.rules import register
+from repro.analysis.core import Finding, Rule, RuleContext, register
 
 __all__ = ["MutableDefaultRule"]
 
@@ -34,7 +33,18 @@ def _is_mutable(expr: ast.AST) -> bool:
 
 @register
 class MutableDefaultRule(Rule):
-    """Flag mutable default argument values."""
+    """R7: mutable default arguments leak state between simulation runs.
+
+    Why it matters: A default like `results=[]` is evaluated once at
+    import and shared by every call — the second run sees the first
+    run's residue, which is fatal and invisible for a stack whose claim
+    is seed-identical replay.
+
+    Fix pattern: Default to None and allocate inside the function.
+
+    Example: def run(self, out=CACHE):  # simlint: disable=R7
+    module-constant sentinel, never mutated
+    """
 
     code = "R7"
     name = "mutable-default"
@@ -47,7 +57,7 @@ class MutableDefaultRule(Rule):
         for default in defaults:
             if _is_mutable(default):
                 yield self.finding(
-                    ctx, default,
+                    ctx.path, default,
                     "mutable default argument in %s() is shared across "
                     "calls (and simulation runs); default to None and "
                     "allocate inside" % label)

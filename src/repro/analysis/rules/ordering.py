@@ -18,9 +18,14 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Set, Tuple
 
-from repro.analysis.core import Finding, Rule, RuleContext
-from repro.analysis.dataflow.callgraph import own_nodes
-from repro.analysis.rules import register
+from repro.analysis.core import (
+    Finding,
+    Rule,
+    RuleContext,
+    is_self_attr,
+    register,
+)
+from repro.analysis.dataflow.symbols import own_nodes
 
 __all__ = ["SetIterationRule"]
 
@@ -64,7 +69,19 @@ def _iterated_exprs(node: ast.AST) -> List[ast.AST]:
 
 @register
 class SetIterationRule(Rule):
-    """Flag set iteration feeding simulation logic."""
+    """R3: never iterate a set where order can reach the event queue.
+
+    Why it matters: Set order depends on hash values, which differ per
+    process start; any set iteration that schedules events or draws
+    randoms destroys run-to-run reproducibility.  list() does not help —
+    only sorted() or an insertion-ordered dict does.
+
+    Fix pattern: Iterate sorted(the_set), or replace the set with a dict
+    used as an ordered set (`d[x] = None`).
+
+    Example: for h in hosts:  # simlint: disable=R3 hosts is
+    sorted-on-insert upstream
+    """
 
     code = "R3"
     name = "set-iteration"
@@ -74,7 +91,7 @@ class SetIterationRule(Rule):
         for expr in _iterated_exprs(node):
             if _is_set_expr(_unwrap(expr)):
                 yield self.finding(
-                    ctx, node,
+                    ctx.path, node,
                     "iterating a set: order is hash-dependent and breaks "
                     "reproducibility; use sorted() or an ordered dict")
 
@@ -116,7 +133,7 @@ class SetIterationRule(Rule):
                 expr = _unwrap(expr)
                 if isinstance(expr, ast.Name) and expr.id in set_names:
                     yield self.finding(
-                        ctx, node,
+                        ctx.path, node,
                         "'%s' holds a set: iteration order is "
                         "hash-dependent; use sorted() or an ordered dict"
                         % expr.id)
@@ -133,12 +150,9 @@ class SetIterationRule(Rule):
         for node in ast.walk(klass):
             for expr in _iterated_exprs(node):
                 expr = _unwrap(expr)
-                if (isinstance(expr, ast.Attribute)
-                        and isinstance(expr.value, ast.Name)
-                        and expr.value.id == "self"
-                        and expr.attr in set_attrs):
+                if is_self_attr(expr) and expr.attr in set_attrs:
                     yield self.finding(
-                        ctx, node,
+                        ctx.path, node,
                         "'self.%s' holds a set: iteration order is "
                         "hash-dependent; use sorted() or an ordered dict"
                         % expr.attr)
@@ -186,8 +200,6 @@ def _self_assignments(node: ast.AST) -> List[Tuple[str, ast.AST]]:
     elif isinstance(node, ast.AnnAssign) and node.value is not None:
         targets, value = [node.target], node.value
     for target in targets:
-        if (isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"):
+        if is_self_attr(target):
             pairs.append((target.attr, value))
     return pairs

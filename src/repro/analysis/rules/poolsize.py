@@ -27,8 +27,13 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.core import Finding, Rule, RuleContext, dotted_name
-from repro.analysis.rules import register
+from repro.analysis.core import (
+    Finding,
+    Rule,
+    RuleContext,
+    dotted_name,
+    register,
+)
 
 __all__ = ["PoolSizeRule"]
 
@@ -76,7 +81,19 @@ def _mentions_pool_identity(node: ast.AST) -> bool:
 
 @register
 class PoolSizeRule(Rule):
-    """Flag worker-count/worker-identity reads and pool-derived seeds."""
+    """R10: worker count and worker identity must never influence results.
+
+    Why it matters: The replication runner fans worlds across a process
+    pool; the moment a seed or loop bound derives from
+    cpu_count()/getpid(), workers=1 and workers=N diverge and every
+    determinism guarantee is void.
+
+    Fix pattern: Derive everything from the root seed; size pools only
+    in harness code with a suppression.
+
+    Example: n = os.cpu_count()  # simlint: disable=R10 harness pool
+    sizing only, never reaches seeds
+    """
 
     code = "R10"
     name = "pool-size"
@@ -88,7 +105,7 @@ class PoolSizeRule(Rule):
             if (dotted in _IDENTITY_CALLS
                     or dotted.rsplit(".", 1)[-1] in _IDENTITY_SUFFIXES):
                 yield self.finding(
-                    ctx, node,
+                    ctx.path, node,
                     "%s() reads host parallelism/worker identity; results "
                     "must be a pure function of the root seed (pass an "
                     "explicit workers= count through the harness)" % dotted)
@@ -99,7 +116,7 @@ class PoolSizeRule(Rule):
                                               for kw in node.keywords]:
                     if _mentions_pool_identity(arg):
                         yield self.finding(
-                            ctx, node,
+                            ctx.path, node,
                             "%s() seeded from a worker/pool-sized "
                             "quantity; derive child seeds from the root "
                             "seed and the replication index only "

@@ -15,8 +15,7 @@ import ast
 import os
 from typing import Iterator
 
-from repro.analysis.core import Finding, Rule, RuleContext
-from repro.analysis.rules import register
+from repro.analysis.core import Finding, Rule, RuleContext, register
 
 __all__ = ["BarePrintRule"]
 
@@ -26,7 +25,18 @@ _OUTPUT_MODULES = frozenset({"cli.py", "reporting.py"})
 
 @register
 class BarePrintRule(Rule):
-    """Flag ``print()`` calls outside the designated output modules."""
+    """R9: model code must not print; report through tracer/metrics.
+
+    Why it matters: print() bypasses the tracer and metrics registry,
+    interleaves arbitrarily with harness output, and tempts callers into
+    parsing stdout.
+
+    Fix pattern: Emit a span/instant/counter, or return the value; only
+    CLI front ends and the report formatter write to stdout.
+
+    Example: print(table)  # simlint: disable=R9 CLI front end, stdout
+    is the product
+    """
 
     code = "R9"
     name = "bare-print"
@@ -38,6 +48,6 @@ class BarePrintRule(Rule):
         func = node.func
         if isinstance(func, ast.Name) and func.id == "print":
             yield self.finding(
-                ctx, node,
+                ctx.path, node,
                 "print() in model code; emit a trace span/instant, a "
                 "metric, or return the value instead")

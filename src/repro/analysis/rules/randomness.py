@@ -15,8 +15,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.core import Finding, Rule, RuleContext
-from repro.analysis.rules import register
+from repro.analysis.core import Finding, Rule, RuleContext, register
 
 __all__ = ["GlobalRandomRule"]
 
@@ -33,7 +32,20 @@ _GLOBAL_FNS = frozenset({
 
 @register
 class GlobalRandomRule(Rule):
-    """Flag global-``random`` calls and unseeded/literal-seeded Randoms."""
+    """R1: every random draw must come from a RandomStreams stream.
+
+    Why it matters: The global `random` module shares one hidden
+    generator across the process: any new caller perturbs every existing
+    consumer's draws, and a literal-seeded private Random(0) gives every
+    component correlated draws that cannot be varied per run.
+
+    Fix pattern: Take an injected
+    repro.simulation.randomness.RandomStreams stream
+    (`streams.stream("component")`) and draw from it.
+
+    Example: rng = random.Random(0)  # simlint: disable=R1 test fixture,
+    never reaches sim state
+    """
 
     code = "R1"
     name = "global-random"
@@ -45,7 +57,7 @@ class GlobalRandomRule(Rule):
                 for alias in node.names:
                     if alias.name != "Random":
                         yield self.finding(
-                            ctx, node,
+                            ctx.path, node,
                             "'from random import %s' binds the shared "
                             "global generator; inject a RandomStreams "
                             "stream instead" % alias.name)
@@ -57,18 +69,18 @@ class GlobalRandomRule(Rule):
             return
         if func.attr in _GLOBAL_FNS:
             yield self.finding(
-                ctx, node,
+                ctx.path, node,
                 "random.%s() draws from the process-global generator; "
                 "use a RandomStreams stream" % func.attr)
         elif func.attr == "Random":
             if not node.args and not node.keywords:
                 yield self.finding(
-                    ctx, node,
+                    ctx.path, node,
                     "random.Random() is seeded from the OS — every run "
                     "differs; use a RandomStreams stream")
             elif node.args and isinstance(node.args[0], ast.Constant):
                 yield self.finding(
-                    ctx, node,
+                    ctx.path, node,
                     "random.Random(%r) hard-codes a seed, bypassing the "
                     "RandomStreams registry; inject a named stream"
                     % node.args[0].value)

@@ -26,8 +26,13 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator, Set
 
-from repro.analysis.core import Finding, Rule, RuleContext, dotted_name
-from repro.analysis.rules import register
+from repro.analysis.core import (
+    Finding,
+    Rule,
+    RuleContext,
+    dotted_name,
+    register,
+)
 
 __all__ = ["CrossShardAccessRule"]
 
@@ -61,8 +66,18 @@ def _world_names(nodes: Iterable[ast.AST]) -> Set[str]:
 
 @register
 class CrossShardAccessRule(Rule):
-    """Flag kernel access through a shard-world handle that bypasses
-    the stamped channel API."""
+    """R21: cross-shard kernel access must go through the channel API.
+
+    Why it matters: Reaching through a world handle
+    (`world.sim.call_at(...)`) mutates a shard's queue without a stamp;
+    the mutation's effect depends on which barrier round carries it.
+
+    Fix pattern: Use ShardWorld.send()/on_message(); read-only
+    `.sim.now`/`.sim.peek()` stays allowed.
+
+    Example: world.sim.schedule(e)  # simlint: disable=R21 single-shard
+    unit test, no barrier in play
+    """
 
     code = "R21"
     name = "cross-shard-access"
@@ -80,14 +95,14 @@ class CrossShardAccessRule(Rule):
                 if parent.attr in _READ_ONLY:
                     continue  # world.sim.now and friends: pure reads
                 yield self.finding(
-                    ctx, parent,
+                    ctx.path, parent,
                     "cross-shard kernel access: .sim.%s through a shard "
                     "world handle bypasses the stamped channel API; use "
                     "ShardWorld.send()/on_message() (only .sim.now, "
                     ".sim.peek and .sim.seed are read-safe)" % parent.attr)
             else:
                 yield self.finding(
-                    ctx, node,
+                    ctx.path, node,
                     "shard kernel handle escapes: aliasing or passing "
                     "world.sim lets callers mutate the shard's event "
                     "queue without a stamped message; keep kernel access "

@@ -13,8 +13,13 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.core import Finding, Rule, RuleContext, dotted_name
-from repro.analysis.rules import register
+from repro.analysis.core import (
+    Finding,
+    Rule,
+    RuleContext,
+    dotted_name,
+    register,
+)
 
 __all__ = ["WallClockRule"]
 
@@ -35,7 +40,18 @@ _CLOCK_SUFFIXES = frozenset({
 
 @register
 class WallClockRule(Rule):
-    """Flag host-clock reads inside simulation model code."""
+    """R2: simulated time must never come from the wall clock.
+
+    Why it matters: A discrete-event model has exactly one clock,
+    sim.now.  time.time()/datetime.now() in model code couples results
+    to host speed — the cardinal reproducibility sin.
+
+    Fix pattern: Use sim.now inside the model; wall-clock reads belong
+    only in harness code reporting real elapsed time.
+
+    Example: t0 = time.time()  # simlint: disable=R2 harness wall-time
+    report only
+    """
 
     code = "R2"
     name = "wall-clock"
@@ -50,6 +66,6 @@ class WallClockRule(Rule):
                                          and parts[-2:] in _CLOCK_SUFFIXES)
         if hit:
             yield self.finding(
-                ctx, node,
+                ctx.path, node,
                 "%s() reads the host clock; simulation code must use "
                 "sim.now" % dotted)

@@ -34,7 +34,7 @@ def _rule_metadata(findings: Iterable[Finding],
                    rules: Optional[Iterable] = None) -> List[Dict]:
     """One reportingDescriptor per rule, sorted by id.
 
-    ``rules`` may carry Rule/DeepRule instances for richer metadata;
+    ``rules`` may carry Rule instances of any family for richer metadata;
     rules only seen through findings fall back to code + name.
     """
     descriptors: Dict[str, Dict] = {}

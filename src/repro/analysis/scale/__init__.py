@@ -2,13 +2,12 @@
 
 Infers a growth dimension for every container the analyzed tree
 constructs (bounded < per-host < per-site < per-session; see
-:mod:`repro.analysis.scale.model`) and runs the complexity rules
-R22–R26 (:mod:`repro.analysis.scale.rules`) over it: per-event linear
-scans, unbounded accumulation, quadratic membership, kernel-loop
-allocation, and hot-path cache rebuilds.  :func:`analyze_scale`
-mirrors :func:`repro.analysis.shard.analyze_shard`: parse, classify,
-run the rules, apply the standard simlint suppression comments, return
-sorted Finding objects — never importing the code under analysis.
+:mod:`repro.analysis.scale.model`); the complexity rules R22–R26
+(:mod:`repro.analysis.scale.rules`) read that :class:`ScaleModel` —
+per-event linear scans, unbounded accumulation, quadratic membership,
+kernel-loop allocation, and hot-path cache rebuilds — and run through
+the one simlint driver, :class:`~repro.analysis.core.Analyzer`, never
+importing the code under analysis.
 
 :mod:`repro.analysis.scale.inventory` renders the whole model as
 ``docs/scale-readiness.md``, the work-list the brokered task-queue
@@ -17,14 +16,7 @@ layer (ROADMAP item 2) consumes.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
-
-from repro.analysis.core import (
-    PARSE_ERROR,
-    Finding,
-    _parse_suppressions,
-    _suppressed,
-)
+from repro.analysis.scale import rules  # noqa: F401  (registers R22-R26)
 from repro.analysis.scale.model import (
     BOUNDED,
     PER_HOST,
@@ -34,55 +26,6 @@ from repro.analysis.scale.model import (
     build_scale_model,
     dim_order,
 )
-from repro.analysis.scale.rules import (
-    ScaleRule,
-    register_scale,
-    registered_scale_rule_classes,
-    scale_rules,
-)
 
-__all__ = ["analyze_scale", "build_scale_model", "ScaleModel",
-           "ScaleRule", "scale_rules", "register_scale",
-           "registered_scale_rule_classes", "dim_order",
+__all__ = ["build_scale_model", "ScaleModel", "dim_order",
            "BOUNDED", "PER_HOST", "PER_SITE", "POPULATION"]
-
-
-def analyze_scale(paths: Iterable[str],
-                  rules: Optional[Iterable[ScaleRule]] = None,
-                  model: Optional[ScaleModel] = None) -> List[Finding]:
-    """Run the scale rules over every module under ``paths``.
-
-    Suppression comments (``# simlint: disable=R22`` and
-    ``disable-file=``) work exactly as for the per-file, deep and
-    shard rules; unparsable files yield one ``E0`` finding each.
-    """
-    if model is None:
-        model = build_scale_model(paths)
-    project = model.project
-    findings: List[Finding] = []
-    for path in sorted(project.parse_errors):
-        lineno, message = project.parse_errors[path]
-        findings.append(Finding(path, lineno, 1, PARSE_ERROR,
-                                "parse-error",
-                                "file does not parse: %s" % message))
-    if rules is None:
-        rules = scale_rules()
-    seen = set()
-    for rule in sorted(rules, key=lambda r: r.code):
-        for finding in rule.check_model(model):
-            key = (finding.path, finding.line, finding.col, finding.code,
-                   finding.message)
-            if key not in seen:
-                seen.add(key)
-                findings.append(finding)
-    suppressions = {}
-    for module in project.modules.values():
-        suppressions[module.path] = _parse_suppressions(module.source)
-    kept = []
-    for finding in findings:
-        per_line, whole_file = suppressions.get(finding.path,
-                                                ({}, set()))
-        if not _suppressed(finding, per_line, whole_file):
-            kept.append(finding)
-    kept.sort(key=lambda f: f.sort_key)
-    return kept

@@ -10,95 +10,39 @@ ratcheted lint gate would report; *justified* ones carry a
 why the per-event cost or growth is acceptable.
 
 The rendering is a pure function of the source tree — sorted rows, no
-timestamps — so regenerating it in ``make scalecheck`` is idempotent
+timestamps — so regenerating it in ``make lint`` is idempotent
 and the file can be byte-compared in CI.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List
 
-from repro.analysis.core import Finding, _parse_suppressions, _suppressed
+from repro.analysis.inventory import (
+    family_findings,
+    relmsg,
+    relpath,
+    table,
+)
 from repro.analysis.scale.model import (
     BOUNDED,
     DIMENSIONS,
     ScaleModel,
 )
-from repro.analysis.scale.rules import scale_rules
 
-__all__ = ["render_inventory", "write_inventory"]
-
-
-def _relpath(path: str) -> str:
-    rel = os.path.relpath(path)
-    return rel.replace(os.sep, "/")
-
-
-def _relmsg(message: str) -> str:
-    """Strip the cwd prefix from paths embedded in a rule message.
-
-    Rule messages carry the paths the model was built from; rendering
-    must not depend on whether those were absolute or relative, or the
-    inventory would not be byte-stable across invocation styles.
-    """
-    return message.replace(os.path.abspath(os.getcwd()) + os.sep, "")
-
-
-def _raw_findings(model: ScaleModel) -> List[Finding]:
-    """Every rule finding, *before* suppression filtering."""
-    findings: List[Finding] = []
-    seen = set()
-    for rule in scale_rules():
-        for finding in rule.check_model(model):
-            key = (finding.path, finding.line, finding.col, finding.code,
-                   finding.message)
-            if key not in seen:
-                seen.add(key)
-                findings.append(finding)
-    findings.sort(key=lambda f: f.sort_key)
-    return findings
-
-
-def _status_of(model: ScaleModel,
-               findings: Iterable[Finding]) -> Dict[Tuple, str]:
-    """(path, line, code) -> "open" | "justified"."""
-    suppressions = {}
-    for module in model.project.modules.values():
-        suppressions[module.path] = _parse_suppressions(module.source)
-    status: Dict[Tuple, str] = {}
-    for finding in findings:
-        per_line, whole_file = suppressions.get(finding.path,
-                                                ({}, set()))
-        verdict = "justified" if _suppressed(finding, per_line,
-                                             whole_file) else "open"
-        status[(finding.path, finding.line, finding.code)] = verdict
-    return status
-
-
-def _table(headers: List[str], rows: List[List[str]]) -> List[str]:
-    lines = ["| " + " | ".join(headers) + " |",
-             "|" + "|".join("---" for _ in headers) + "|"]
-    for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
-    return lines
+__all__ = ["render_inventory"]
 
 
 def render_inventory(model: ScaleModel) -> str:
     """The complete scale-readiness inventory as Markdown text."""
-    findings = _raw_findings(model)
-    status = _status_of(model, findings)
-
-    def verdict(finding: Finding) -> str:
-        key = (finding.path, finding.line, finding.code)
-        return "OPEN" if status.get(key) == "open" else "justified"
+    findings, verdict = family_findings(model)
 
     lines: List[str] = [
         "# Scale-readiness inventory",
         "",
         "Generated by `python -m repro.analysis --scale "
         "--scale-inventory docs/scale-readiness.md` (see `make "
-        "scalecheck`). **Do not edit by hand** — regenerate after any "
+        "lint`). **Do not edit by hand** — regenerate after any "
         "model-layer change.",
         "",
         "This is the work-list for the brokered task-queue layer "
@@ -106,7 +50,7 @@ def render_inventory(model: ScaleModel) -> str:
         "session population, classified on the growth-dimension "
         "lattice (bounded < per-host < per-site < per-session), and "
         "every per-event complexity finding (R22-R26).  `OPEN` rows "
-        "fail `make scalecheck`; `justified` rows carry an inline "
+        "fail `make lint`; `justified` rows carry an inline "
         "`# simlint: disable=R..` suppression explaining why the "
         "per-event cost or growth is acceptable.  Rules and lattice: "
         "`docs/static_analysis.md`.",
@@ -125,7 +69,7 @@ def render_inventory(model: ScaleModel) -> str:
         % (len(model.collections), len(model.hot)),
         "",
     ]
-    lines += _table(["Dimension", "Collections"],
+    lines += table(["Dimension", "Collections"],
                     [[dim, "%d" % counts[dim]] for dim in DIMENSIONS])
     lines.append("")
 
@@ -145,15 +89,15 @@ def render_inventory(model: ScaleModel) -> str:
             "`%s`" % collection.label,
             collection.kind,
             collection.dimension,
-            "`%s:%d`" % (_relpath(collection.module.path),
+            "`%s:%d`" % (relpath(collection.module.path),
                          getattr(collection.node, "lineno", 1)),
-            _relmsg(collection.why),
+            relmsg(collection.why),
             "%d/%d/%d" % (len(collection.grows), len(collection.shrinks),
                           len(collection.scans) + len(collection.sorts)
                           + len(collection.memberships)),
         ])
     rows.sort(key=lambda row: (row[3], row[0]))
-    lines += _table(["Collection", "Kind", "Dimension", "Where",
+    lines += table(["Collection", "Kind", "Dimension", "Where",
                      "Evidence", "Grow/Shrink/Scan"], rows) if rows \
         else ["*(none — every collection is scale-independent)*"]
     lines.append("")
@@ -182,19 +126,12 @@ def render_inventory(model: ScaleModel) -> str:
         for finding in findings:
             if finding.code != code:
                 continue
-            rows.append(["`%s:%d`" % (_relpath(finding.path),
+            rows.append(["`%s:%d`" % (relpath(finding.path),
                                       finding.line),
                          verdict(finding),
-                         _relmsg(finding.message.split(" — ")[0])])
-        lines += _table(["Site", "Status", "What"], rows) if rows \
+                         relmsg(finding.message.split(" — ")[0])])
+        lines += table(["Site", "Status", "What"], rows) if rows \
             else ["*(none)*"]
         lines.append("")
     return "\n".join(lines)
 
-
-def write_inventory(model: ScaleModel, path: str) -> int:
-    """Write the inventory to ``path``; returns the byte count."""
-    text = render_inventory(model)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    return len(text.encode("utf-8"))

@@ -51,12 +51,14 @@ import ast
 import re
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.analysis.dataflow.callgraph import CallGraph, own_nodes
+from repro.analysis.core import dotted_name, is_self_attr, walk_tree
+from repro.analysis.dataflow.callgraph import CallGraph
 from repro.analysis.dataflow.symbols import (
     FunctionInfo,
     ModuleInfo,
     ProjectModel,
     build_project,
+    own_nodes,
 )
 
 __all__ = ["BOUNDED", "PER_HOST", "PER_SITE", "POPULATION", "DIMENSIONS",
@@ -284,6 +286,9 @@ class AllocSite:
 class ScaleModel:
     """The project plus everything the scale rules need."""
 
+    #: The command-line switch of the rules that read this model.
+    flag = "--scale"
+
     def __init__(self, project: ProjectModel):
         self.project = project
         self.graph = CallGraph(project)
@@ -429,7 +434,7 @@ class ScaleModel:
                     kind = self._container_kind(module, value)
                     if kind is None:
                         continue
-                    if _is_self_attr(target):
+                    if is_self_attr(target):
                         assigns.setdefault((owner, target.attr), []) \
                             .append((info, node, kind))
         # Second pass: the ``__init__`` assignment (or the first one)
@@ -465,7 +470,7 @@ class ScaleModel:
         if isinstance(value, (ast.Set, ast.SetComp)):
             return "set"
         if isinstance(value, ast.Call):
-            dotted = _dotted(value.func)
+            dotted = dotted_name(value.func)
             if dotted is not None:
                 expanded = self.project.expand(module, dotted)
                 kind = _CONTAINER_CONSTRUCTORS.get(expanded)
@@ -490,7 +495,7 @@ class ScaleModel:
                 self._scan_function(module.functions[key])
 
     def _scan_function(self, info: FunctionInfo) -> None:
-        parents = _parent_map(info.node)
+        parents = walk_tree(info.module.tree)[1]
         aliases = self._collect_aliases(info)
         is_kernel = info.qualname in self.kernel_hot
         is_hot = is_kernel or info.qualname in self.hot
@@ -511,13 +516,12 @@ class ScaleModel:
                                       ast.AsyncFunctionDef))]
         while queue:
             scope = queue.pop()
-            nested_parents = _parent_map(scope)
             for node in own_nodes(scope):
                 if isinstance(node, (ast.FunctionDef,
                                      ast.AsyncFunctionDef)):
                     queue.append(node)
                     continue
-                in_loop = _in_loop(node, nested_parents, scope)
+                in_loop = _in_loop(node, parents, scope)
                 self._scan_node(info, node, aliases, in_loop)
 
     def _collect_aliases(self, info: FunctionInfo) \
@@ -556,7 +560,7 @@ class ScaleModel:
                             UseSite(info, module, node, func.attr, in_loop))
             elif isinstance(func, ast.Name):
                 self._scan_call_by_name(info, node, func, aliases, in_loop)
-            dotted = _dotted(func)
+            dotted = dotted_name(func)
             if dotted is not None:
                 expanded = self.project.expand(module, dotted)
                 if expanded in ("heapq.heappush", "heapq.heapreplace") \
@@ -666,7 +670,7 @@ class ScaleModel:
                 target_label = target.id
             elif isinstance(target, ast.Attribute) and \
                     _CACHE_NAME_RE.search(target.attr):
-                target_label = _dotted(target) or target.attr
+                target_label = dotted_name(target) or target.attr
         if target_label is None:
             return
         if not self._is_rebuild_value(node.value):
@@ -681,7 +685,7 @@ class ScaleModel:
         if isinstance(value, ast.Assign):  # chained a = b = rebuild()
             return self._is_rebuild_value(value.value)
         if isinstance(value, ast.Call):
-            dotted = _dotted(value.func)
+            dotted = dotted_name(value.func)
             if dotted is not None and \
                     _REBUILD_RE.search(dotted.rsplit(".", 1)[-1]):
                 return True
@@ -700,7 +704,7 @@ class ScaleModel:
             if expr.id in info.params:
                 return None
             return self.collections.get((info.module.name, expr.id))
-        dotted = _dotted(expr)
+        dotted = dotted_name(expr)
         if dotted is None:
             return None
         parts = dotted.split(".")
@@ -801,17 +805,6 @@ def build_scale_model(paths: Iterable[str]) -> ScaleModel:
 
 # -- AST helpers -----------------------------------------------------------
 
-def _parent_map(scope: ast.AST) -> Dict[ast.AST, ast.AST]:
-    parents: Dict[ast.AST, ast.AST] = {}
-    todo = [scope]
-    while todo:
-        node = todo.pop()
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-            todo.append(child)
-    return parents
-
-
 def _in_loop(node: ast.AST, parents: Dict[ast.AST, ast.AST],
              stop: ast.AST) -> bool:
     """Is ``node`` (lexically) inside a loop or comprehension?"""
@@ -875,18 +868,3 @@ def _unwrap(expr: ast.AST) -> ast.AST:
             return expr
 
 
-def _is_self_attr(node: ast.AST) -> bool:
-    return (isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self")
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None

@@ -32,81 +32,26 @@ covers one remediation decision.
   invalidation guard.  The sanctioned pattern rebuilds at most once
   per invalidation epoch behind an ``if ... is None`` / epoch test.
 
-Scale rules register with :func:`register_scale` and yield the same
-:class:`~repro.analysis.core.Finding` objects as every other pass, so
-suppressions, SARIF export and the baseline ratchet apply unchanged.
+Each is a :class:`~repro.analysis.core.ProjectRule` reading the
+:class:`ScaleModel`, registered with :func:`~repro.analysis.core.register`
+like every other rule and selected by ``--scale``, so suppressions, SARIF
+export and the baseline ratchet apply unchanged.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import Dict, Iterator, List, Tuple, Type
+from typing import Dict, Iterator, List, Tuple
 
-from repro.analysis.core import Finding
+from repro.analysis.core import Finding, ProjectRule, register
 from repro.analysis.scale.model import (
     POPULATION,
     ScaleModel,
     UseSite,
 )
 
-__all__ = ["ScaleRule", "register_scale", "scale_rules",
-           "registered_scale_rule_classes",
-           "PerEventLinearScanRule", "UnboundedGrowthContainerRule",
+__all__ = ["PerEventLinearScanRule", "UnboundedGrowthContainerRule",
            "QuadraticMembershipRule", "PerEventAllocationRule",
            "RebuildInHotPathRule"]
-
-#: Import-time registry of scale rule classes; append-only, populated
-#: by the ``register_scale`` decorations below and never written after
-#: import.  # simlint: disable-file=R15
-_SCALE_REGISTRY: List[Type["ScaleRule"]] = []
-
-
-def register_scale(rule_class: Type["ScaleRule"]) -> Type["ScaleRule"]:
-    """Class decorator: add a ScaleRule subclass to the scale rule set."""
-    if not (isinstance(rule_class, type)
-            and issubclass(rule_class, ScaleRule)):
-        raise TypeError("register_scale() expects a ScaleRule subclass, "
-                        "got %r" % (rule_class,))
-    if any(existing.code == rule_class.code
-           for existing in _SCALE_REGISTRY):
-        raise ValueError("duplicate scale rule code %s" % rule_class.code)
-    _SCALE_REGISTRY.append(rule_class)
-    return rule_class
-
-
-def registered_scale_rule_classes() -> List[Type["ScaleRule"]]:
-    """The registered classes, sorted by code."""
-    return sorted(_SCALE_REGISTRY,
-                  key=lambda cls: (len(cls.code), cls.code))
-
-
-def scale_rules() -> List["ScaleRule"]:
-    """Fresh instances of every registered scale rule."""
-    return [cls() for cls in registered_scale_rule_classes()]
-
-
-class ScaleRule:
-    """Base class for growth-dimension rules.
-
-    Subclasses set ``code``/``name`` and implement :meth:`check_model`,
-    yielding :class:`~repro.analysis.core.Finding` objects over a
-    :class:`~repro.analysis.scale.model.ScaleModel`.
-    """
-
-    code: str = "R0"
-    name: str = "abstract-scale-rule"
-
-    def check_model(self, model: ScaleModel) -> Iterator[Finding]:
-        """Yield findings over the growth-dimension model."""
-        return iter(())  # pragma: no cover
-
-    def finding(self, path: str, node: ast.AST, message: str) -> Finding:
-        return Finding(path, getattr(node, "lineno", 1),
-                       getattr(node, "col_offset", 0) + 1,
-                       self.code, self.name, message)
-
-    def __repr__(self) -> str:
-        return "<ScaleRule %s %s>" % (self.code, self.name)
 
 
 def _by_function(sites: List[UseSite]) -> List[Tuple[str, List[UseSite]]]:
@@ -129,14 +74,30 @@ def _extra(count: int) -> str:
     return "" if count == 1 else " and %d more site(s)" % (count - 1)
 
 
-@register_scale
-class PerEventLinearScanRule(ScaleRule):
-    """R22: O(population) iteration inside per-event code."""
+@register
+class PerEventLinearScanRule(ProjectRule):
+    """R22: O(population) iteration inside per-event code.
+
+    Why it matters: A loop or comprehension over a
+    per-session-dimensioned collection inside the per-event hot set
+    (simulation processes, kernel drains, and their call closure) does
+    O(n) work per event — O(n^2) per scenario.  At a million sessions
+    that is the difference between minutes and weeks.
+
+    Fix pattern: Index the lookup (dict keyed by what the scan searches
+    for) or maintain the derived quantity incrementally (running totals,
+    per-key buckets).  The sanctioned examples: VirtualMachineMonitor's
+    name index and resident-memory running total.
+
+    Example: for vm in self.vms:  # simlint: disable=R22 teardown path,
+    runs once per scenario not per event
+    """
 
     code = "R22"
     name = "per-event-linear-scan"
+    model = ScaleModel
 
-    def check_model(self, model: ScaleModel) -> Iterator[Finding]:
+    def check_project(self, model: ScaleModel) -> Iterator[Finding]:
         for collection in model.sorted_collections():
             if collection.dimension != POPULATION:
                 continue
@@ -154,14 +115,29 @@ class PerEventLinearScanRule(ScaleRule):
                        _extra(len(sites))))
 
 
-@register_scale
-class UnboundedGrowthContainerRule(ScaleRule):
-    """R23: population state that grows per event and is never evicted."""
+@register
+class UnboundedGrowthContainerRule(ProjectRule):
+    """R23: population state that grows per event and is never evicted.
+
+    Why it matters: A collection that gains an entry on a hot path and
+    has no shrink site anywhere in the tree holds memory proportional to
+    total sessions processed.  Generalizes R20 from obs collectors to
+    arbitrary model state: registries, logs, per-key memo dicts.
+
+    Fix pattern: Evict on completion (delete the key when the session/VM
+    ends), bound the container (deque(maxlen=...) is recognised as
+    bounded), or stream aggregates instead of retaining raw entries.
+
+    Example: self.log: List[Transfer] = []  # simlint: disable=R23
+    experiment-lifetime artifact, sized by the scenario not the steady
+    state
+    """
 
     code = "R23"
     name = "unbounded-growth-container"
+    model = ScaleModel
 
-    def check_model(self, model: ScaleModel) -> Iterator[Finding]:
+    def check_project(self, model: ScaleModel) -> Iterator[Finding]:
         for collection in model.sorted_collections():
             if collection.dimension != POPULATION or collection.shrinks:
                 continue
@@ -182,14 +158,28 @@ class UnboundedGrowthContainerRule(ScaleRule):
                           _extra(len(hot_grows))))
 
 
-@register_scale
-class QuadraticMembershipRule(ScaleRule):
-    """R24: linear membership probes and sorted passes over population."""
+@register
+class QuadraticMembershipRule(ProjectRule):
+    """R24: linear membership probes and sorted passes over population.
+
+    Why it matters: `x in population_list` is a linear scan per test —
+    run once per session it is quadratic in the population.  Likewise
+    sorted()/min()/max() over a population collection inside a loop
+    repeats a full ordered pass per iteration.
+
+    Fix pattern: Key membership as a dict/set (an insertion-ordered dict
+    preserves determinism where a set would not); hoist ordered passes
+    out of loops or track the extremum incrementally.
+
+    Example: if name in self._names:  # simlint: disable=R24 list is
+    capped at 8 by admission control above
+    """
 
     code = "R24"
     name = "quadratic-membership"
+    model = ScaleModel
 
-    def check_model(self, model: ScaleModel) -> Iterator[Finding]:
+    def check_project(self, model: ScaleModel) -> Iterator[Finding]:
         for collection in model.sorted_collections():
             if collection.dimension != POPULATION:
                 continue
@@ -220,14 +210,29 @@ class QuadraticMembershipRule(ScaleRule):
                        collection.label, _extra(len(live))))
 
 
-@register_scale
-class PerEventAllocationRule(ScaleRule):
-    """R25: fresh containers/closures built inside kernel drain loops."""
+@register
+class PerEventAllocationRule(ProjectRule):
+    """R25: fresh containers/closures built inside kernel drain loops.
+
+    Why it matters: The kernel's drain loops (step/_run_fast and the
+    succeed/fail/_resume chain) execute once per event — the single
+    hottest code in the system.  A dict/list/set display, comprehension,
+    lambda or nested def inside one of their loops costs an allocation
+    per drained event.
+
+    Fix pattern: Hoist the allocation out of the loop, reuse a scratch
+    object, or restructure so the container is built once per call, not
+    per iteration.
+
+    Example: errs = []  # simlint: disable=R25 only reachable on the
+    failure path, empty in steady state
+    """
 
     code = "R25"
     name = "per-event-allocation"
+    model = ScaleModel
 
-    def check_model(self, model: ScaleModel) -> Iterator[Finding]:
+    def check_project(self, model: ScaleModel) -> Iterator[Finding]:
         grouped: Dict[str, List] = {}
         for site in model.kernel_allocs:
             grouped.setdefault(site.function.qualname, []).append(site)
@@ -245,14 +250,29 @@ class PerEventAllocationRule(ScaleRule):
                 % (qualname, "/".join(kinds), _extra(len(sites))))
 
 
-@register_scale
-class RebuildInHotPathRule(ScaleRule):
-    """R26: memoized structures recomputed per event, not per epoch."""
+@register
+class RebuildInHotPathRule(ProjectRule):
+    """R26: memoized structures recomputed per event, not per epoch.
+
+    Why it matters: A cache/memo-named structure rebuilt from scratch
+    (comprehension or refill/rebuild/recompute call) on every invocation
+    of a hot function does the work memoization was meant to save.  The
+    cache must be rebuilt at most once per invalidation epoch.
+
+    Fix pattern: Guard the rebuild: `if self._cache is None: self._cache
+    = self._refill()`, invalidating (set to None, or bump an epoch
+    counter) only where the inputs change — the
+    FlowEngine._allocate/_refill pair is the sanctioned example.
+
+    Example: self._view = self._rebuild()  # simlint: disable=R26 inputs
+    change on every call by construction, nothing to memoize
+    """
 
     code = "R26"
     name = "rebuild-in-hot-path"
+    model = ScaleModel
 
-    def check_model(self, model: ScaleModel) -> Iterator[Finding]:
+    def check_project(self, model: ScaleModel) -> Iterator[Finding]:
         sites = sorted(model.rebuild_sites,
                        key=lambda s: (s.function.module.path,
                                       getattr(s.node, "lineno", 1)))

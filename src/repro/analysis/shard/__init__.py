@@ -2,12 +2,11 @@
 
 Classifies every mutable location in the analyzed tree on the
 three-value affinity lattice (shard-local / shard-crossing /
-process-global; see :mod:`repro.analysis.shard.model`) and runs the
-ownership rules R15–R19 (:mod:`repro.analysis.shard.rules`) over it.
-:func:`analyze_shard` mirrors :func:`repro.analysis.dataflow.
-analyze_project`: parse, classify, run the rules, apply the standard
-simlint suppression comments, return sorted Finding objects — never
-importing the code under analysis.
+process-global; see :mod:`repro.analysis.shard.model`); the ownership
+rules R15–R19 (:mod:`repro.analysis.shard.rules`) read that
+:class:`ShardModel` and run through the one simlint driver,
+:class:`~repro.analysis.core.Analyzer`, never importing the code under
+analysis.
 
 :mod:`repro.analysis.shard.inventory` renders the whole model as
 ``docs/shard-safety.md``, the work-list the sharded-engine refactor
@@ -16,14 +15,7 @@ consumes.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
-
-from repro.analysis.core import (
-    PARSE_ERROR,
-    Finding,
-    _parse_suppressions,
-    _suppressed,
-)
+from repro.analysis.shard import rules  # noqa: F401  (registers R15-R19)
 from repro.analysis.shard.model import (
     CROSSING,
     GLOBAL,
@@ -32,55 +24,6 @@ from repro.analysis.shard.model import (
     build_shard_model,
     family_of_module,
 )
-from repro.analysis.shard.rules import (
-    ShardRule,
-    register_shard,
-    registered_shard_rule_classes,
-    shard_rules,
-)
 
-__all__ = ["analyze_shard", "build_shard_model", "ShardModel",
-           "ShardRule", "shard_rules", "register_shard",
-           "registered_shard_rule_classes", "family_of_module",
+__all__ = ["build_shard_model", "ShardModel", "family_of_module",
            "LOCAL", "CROSSING", "GLOBAL"]
-
-
-def analyze_shard(paths: Iterable[str],
-                  rules: Optional[Iterable[ShardRule]] = None,
-                  model: Optional[ShardModel] = None) -> List[Finding]:
-    """Run the shard rules over every module under ``paths``.
-
-    Suppression comments (``# simlint: disable=R15`` and
-    ``disable-file=``) work exactly as for the per-file and deep
-    rules; unparsable files yield one ``E0`` finding each.
-    """
-    if model is None:
-        model = build_shard_model(paths)
-    project = model.project
-    findings: List[Finding] = []
-    for path in sorted(project.parse_errors):
-        lineno, message = project.parse_errors[path]
-        findings.append(Finding(path, lineno, 1, PARSE_ERROR,
-                                "parse-error",
-                                "file does not parse: %s" % message))
-    if rules is None:
-        rules = shard_rules()
-    seen = set()
-    for rule in sorted(rules, key=lambda r: r.code):
-        for finding in rule.check_model(model):
-            key = (finding.path, finding.line, finding.col, finding.code,
-                   finding.message)
-            if key not in seen:
-                seen.add(key)
-                findings.append(finding)
-    suppressions = {}
-    for module in project.modules.values():
-        suppressions[module.path] = _parse_suppressions(module.source)
-    kept = []
-    for finding in findings:
-        per_line, whole_file = suppressions.get(finding.path,
-                                                ({}, set()))
-        if not _suppressed(finding, per_line, whole_file):
-            kept.append(finding)
-    kept.sort(key=lambda f: f.sort_key)
-    return kept

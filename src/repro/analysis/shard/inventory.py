@@ -8,98 +8,42 @@ would report; *justified* ones carry a ``# simlint: disable=R..``
 suppression whose trailing prose documents why the coupling is safe.
 
 The rendering is a pure function of the source tree — sorted rows, no
-timestamps — so regenerating it in ``make shardcheck`` is idempotent
+timestamps — so regenerating it in ``make lint`` is idempotent
 and the file can be byte-compared in CI.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
-from repro.analysis.core import Finding, _parse_suppressions, _suppressed
+from repro.analysis.inventory import (
+    family_findings,
+    relmsg,
+    relpath,
+    table,
+)
 from repro.analysis.shard.model import HOST, SHARED, SITE, ShardModel
-from repro.analysis.shard.rules import shard_rules
 
-__all__ = ["render_inventory", "write_inventory"]
-
-
-def _relpath(path: str) -> str:
-    rel = os.path.relpath(path)
-    return rel.replace(os.sep, "/")
-
-
-def _relmsg(message: str) -> str:
-    """Strip the cwd prefix from paths embedded in a rule message.
-
-    Rule messages carry the paths the model was built from; rendering
-    must not depend on whether those were absolute or relative, or the
-    inventory would not be byte-stable across invocation styles.
-    """
-    return message.replace(os.path.abspath(os.getcwd()) + os.sep, "")
-
-
-def _raw_findings(model: ShardModel) -> List[Finding]:
-    """Every rule finding, *before* suppression filtering."""
-    findings: List[Finding] = []
-    seen = set()
-    for rule in shard_rules():
-        for finding in rule.check_model(model):
-            key = (finding.path, finding.line, finding.col, finding.code,
-                   finding.message)
-            if key not in seen:
-                seen.add(key)
-                findings.append(finding)
-    findings.sort(key=lambda f: f.sort_key)
-    return findings
-
-
-def _status_of(model: ShardModel,
-               findings: Iterable[Finding]) -> Dict[Tuple, str]:
-    """(path, line, code) -> "open" | "justified"."""
-    suppressions = {}
-    for module in model.project.modules.values():
-        suppressions[module.path] = _parse_suppressions(module.source)
-    status: Dict[Tuple, str] = {}
-    for finding in findings:
-        per_line, whole_file = suppressions.get(finding.path,
-                                                ({}, set()))
-        verdict = "justified" if _suppressed(finding, per_line,
-                                             whole_file) else "open"
-        status[(finding.path, finding.line, finding.code)] = verdict
-    return status
-
-
-def _table(headers: List[str], rows: List[List[str]]) -> List[str]:
-    lines = ["| " + " | ".join(headers) + " |",
-             "|" + "|".join("---" for _ in headers) + "|"]
-    for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
-    return lines
+__all__ = ["render_inventory"]
 
 
 def render_inventory(model: ShardModel) -> str:
     """The complete shard-safety inventory as Markdown text."""
-    findings = _raw_findings(model)
-    status = _status_of(model, findings)
-
-    def verdict(finding: Finding) -> str:
-        key = (finding.path, finding.line, finding.code)
-        return "OPEN" if status.get(key) == "open" else "justified"
+    findings, verdict = family_findings(model)
 
     lines: List[str] = [
         "# Shard-safety inventory",
         "",
         "Generated by `python -m repro.analysis --shard "
         "--shard-inventory docs/shard-safety.md` (see `make "
-        "shardcheck`). **Do not edit by hand** — regenerate after any "
+        "lint`). **Do not edit by hand** — regenerate after any "
         "model-layer change.",
         "",
         "This is the work-list for the sharded parallel engine "
         "(ROADMAP item 1): every mutable location whose owner is not "
         "a single site/host partition, classified on the "
         "shard-affinity lattice (shard-local < shard-crossing < "
-        "process-global).  `OPEN` rows fail `make shardcheck`; "
+        "process-global).  `OPEN` rows fail `make lint`; "
         "`justified` rows carry an inline `# simlint: disable=R..` "
         "suppression explaining why the coupling is safe.  Rules and "
         "lattice: `docs/static_analysis.md`.",
@@ -121,7 +65,7 @@ def render_inventory(model: ShardModel) -> str:
         "tree.",
         "",
     ]
-    lines += _table(
+    lines += table(
         ["Family", "Modules", "`self.*` write sites (shard-local)"],
         [[family, "%d" % counts[family], "%d" % writes[family]]
          for family in (HOST, SITE, SHARED)])
@@ -136,10 +80,10 @@ def render_inventory(model: ShardModel) -> str:
     for finding in findings:
         if finding.code != "R15":
             continue
-        rows.append(["`%s:%d`" % (_relpath(finding.path), finding.line),
+        rows.append(["`%s:%d`" % (relpath(finding.path), finding.line),
                      verdict(finding),
-                     _relmsg(finding.message.split(" — ")[0])])
-    lines += _table(["Location", "Status", "What"], rows) if rows \
+                     relmsg(finding.message.split(" — ")[0])])
+    lines += table(["Location", "Status", "What"], rows) if rows \
         else ["*(none — every module/class-level mutable is read-only "
               "after import)*"]
     lines.append("")
@@ -158,9 +102,9 @@ def render_inventory(model: ShardModel) -> str:
     for finding in findings:
         if finding.code != "R17":
             continue
-        rows.append(["`%s:%d`" % (_relpath(finding.path), finding.line),
+        rows.append(["`%s:%d`" % (relpath(finding.path), finding.line),
                      verdict(finding),
-                     _relmsg(finding.message.split(" — ")[0]
+                     relmsg(finding.message.split(" — ")[0]
                              .split(";")[0])])
     flagged: Set[Tuple[str, int]] = {
         (f.path, f.line) for f in findings if f.code == "R17"}
@@ -171,12 +115,12 @@ def render_inventory(model: ShardModel) -> str:
             else "unbounded"
         shape = "frozen-dataclass method" if site.frozen_dataclass \
             else ("method" if site.function.class_name else "function")
-        rows.append(["`%s:%d`" % (_relpath(site.function.module.path),
+        rows.append(["`%s:%d`" % (relpath(site.function.module.path),
                                   site.node.lineno),
                      "ok",
                      "bounded lru_cache (%s, %s) on %s()"
                      % (bound, shape, site.function.qualname)])
-    lines += _table(["Site", "Status", "What"], rows) if rows \
+    lines += table(["Site", "Status", "What"], rows) if rows \
         else ["*(none)*"]
     lines.append("")
 
@@ -193,10 +137,10 @@ def render_inventory(model: ShardModel) -> str:
     for finding in findings:
         if finding.code not in ("R16", "R19"):
             continue
-        rows.append(["`%s:%d`" % (_relpath(finding.path), finding.line),
+        rows.append(["`%s:%d`" % (relpath(finding.path), finding.line),
                      finding.code, verdict(finding),
-                     _relmsg(finding.message.split(" — ")[0])])
-    lines += _table(["Edge", "Rule", "Status", "What"], rows) if rows \
+                     relmsg(finding.message.split(" — ")[0])])
+    lines += table(["Edge", "Rule", "Status", "What"], rows) if rows \
         else ["*(none — every cross-entity interaction already goes "
               "through the kernel)*"]
     lines.append("")
@@ -210,19 +154,12 @@ def render_inventory(model: ShardModel) -> str:
     for finding in findings:
         if finding.code != "R18":
             continue
-        rows.append(["`%s:%d`" % (_relpath(finding.path), finding.line),
+        rows.append(["`%s:%d`" % (relpath(finding.path), finding.line),
                      verdict(finding),
                      finding.message.split(":")[0]])
-    lines += _table(["Class", "Status", "What"], rows) if rows \
+    lines += table(["Class", "Status", "What"], rows) if rows \
         else ["*(none — every sample-taking statistics class has a "
               "deterministic merge)*"]
     lines.append("")
     return "\n".join(lines)
 
-
-def write_inventory(model: ShardModel, path: str) -> int:
-    """Write the inventory to ``path``; returns the byte count."""
-    text = render_inventory(model)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    return len(text.encode("utf-8"))

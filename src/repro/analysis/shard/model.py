@@ -41,13 +41,14 @@ import ast
 import re
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.analysis.dataflow.callgraph import own_nodes
+from repro.analysis.core import dotted_name, is_self_attr
 from repro.analysis.dataflow.symbols import (
     ClassInfo,
     FunctionInfo,
     ModuleInfo,
     ProjectModel,
     build_project,
+    own_nodes,
 )
 
 __all__ = ["LOCAL", "CROSSING", "GLOBAL", "HOST", "SITE", "SHARED",
@@ -72,7 +73,7 @@ SITE = "site"
 SHARED = "shared"
 
 #: Dotted-name components that pin a module's state to one physical
-#: machine (a host shard under ``--shard-model host``).
+#: machine (a host shard when the grid is split per host).
 _HOST_COMPONENTS = frozenset({"hardware", "guestos", "vmm", "storage"})
 #: Components that pin state to one site (middleware services, DHCP).
 _SITE_COMPONENTS = frozenset({"middleware", "dhcp"})
@@ -208,6 +209,9 @@ class CacheSite:
 class ShardModel:
     """The project plus everything the shard rules need to classify."""
 
+    #: The command-line switch of the rules that read this model.
+    flag = "--shard"
+
     def __init__(self, project: ProjectModel):
         self.project = project
         #: (module name, location label) -> MutableLocation.
@@ -240,7 +244,7 @@ class ShardModel:
         for arg in getattr(func.args, "args", []):
             if arg.arg != param or arg.annotation is None:
                 continue
-            dotted = _dotted(arg.annotation)
+            dotted = dotted_name(arg.annotation)
             if dotted is None:
                 return None
             expanded = self.project.expand(module, dotted)
@@ -301,7 +305,7 @@ class ShardModel:
         if isinstance(value, (ast.Set, ast.SetComp)):
             return "set"
         if isinstance(value, ast.Call):
-            dotted = _dotted(value.func)
+            dotted = dotted_name(value.func)
             if dotted is not None:
                 expanded = self.project.expand(module, dotted)
                 return _MUTABLE_CONSTRUCTORS.get(expanded)
@@ -320,7 +324,7 @@ class ShardModel:
                           decorator: ast.AST) -> Optional[CacheSite]:
         call = decorator if isinstance(decorator, ast.Call) else None
         target = call.func if call is not None else decorator
-        dotted = _dotted(target)
+        dotted = dotted_name(target)
         if dotted is None:
             return None
         expanded = module.imports.get(dotted,
@@ -352,7 +356,7 @@ class ShardModel:
                     targets = node.targets \
                         if isinstance(node, ast.Assign) else [node.target]
                     for target in targets:
-                        if _is_self_attr(target):
+                        if is_self_attr(target):
                             count += 1
             self.self_writes[qualname] = count
 
@@ -438,7 +442,7 @@ class ShardModel:
                       node: ast.AST, how: str, refers_to_module,
                       counters_only: bool = False) -> None:
         """Attribute/Name chain -> tracked location, if any."""
-        dotted = _dotted(base)
+        dotted = dotted_name(base)
         if dotted is None:
             return
         parts = dotted.split(".")
@@ -503,21 +507,6 @@ def _toplevel(body: Iterable[ast.AST]) -> Iterable[ast.AST]:
             yield node
 
 
-def _is_self_attr(node: ast.AST) -> bool:
-    return (isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self")
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def _lru_maxsize(call: ast.Call) -> Tuple[Optional[int], bool]:
@@ -543,7 +532,7 @@ def _is_frozen_dataclass(project: ProjectModel, module: ModuleInfo,
     for decorator in klass.node.decorator_list:
         call = decorator if isinstance(decorator, ast.Call) else None
         target = call.func if call is not None else decorator
-        dotted = _dotted(target)
+        dotted = dotted_name(target)
         if dotted is None:
             continue
         expanded = module.imports.get(dotted,

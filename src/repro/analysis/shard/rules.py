@@ -32,18 +32,25 @@ could not partition by site or host without silent coupling.
   foreign-family parameter: both push work onto a timeline the caller
   does not own.
 
-Shard rules register with :func:`register_shard` and yield the same
-:class:`~repro.analysis.core.Finding` objects as every other pass, so
-suppressions, SARIF export and the baseline ratchet apply unchanged.
+Each is a :class:`~repro.analysis.core.ProjectRule` reading the
+:class:`ShardModel`, registered with :func:`~repro.analysis.core.register`
+like every other rule and selected by ``--shard``, so suppressions, SARIF
+export and the baseline ratchet apply unchanged.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Type
+from typing import Iterator, Optional
 
-from repro.analysis.core import Finding
-from repro.analysis.dataflow.callgraph import own_nodes
+from repro.analysis.core import (
+    Finding,
+    ProjectRule,
+    dotted_name,
+    is_self_attr,
+    register,
+)
+from repro.analysis.dataflow.symbols import own_nodes
 from repro.analysis.shard.model import (
     HOST,
     SITE,
@@ -51,68 +58,11 @@ from repro.analysis.shard.model import (
     MutableLocation,
     ShardModel,
     _MUTATOR_METHODS,
-    _dotted,
-    _is_self_attr,
 )
 
-__all__ = ["ShardRule", "register_shard", "shard_rules",
-           "registered_shard_rule_classes",
-           "ProcessGlobalMutableStateRule",
+__all__ = ["ProcessGlobalMutableStateRule",
            "CrossEntityDirectMutationRule", "UnkeyedProcessCacheRule",
            "NonMergeableAccumulatorRule", "SharedEventQueueEscapeRule"]
-
-#: Import-time registry of shard rule classes; append-only, populated
-#: by the ``register_shard`` decorations below and never written after
-#: import.  # simlint: disable-file=R15
-_SHARD_REGISTRY: List[Type["ShardRule"]] = []
-
-
-def register_shard(rule_class: Type["ShardRule"]) -> Type["ShardRule"]:
-    """Class decorator: add a ShardRule subclass to the shard rule set."""
-    if not (isinstance(rule_class, type)
-            and issubclass(rule_class, ShardRule)):
-        raise TypeError("register_shard() expects a ShardRule subclass, "
-                        "got %r" % (rule_class,))
-    if any(existing.code == rule_class.code
-           for existing in _SHARD_REGISTRY):
-        raise ValueError("duplicate shard rule code %s" % rule_class.code)
-    _SHARD_REGISTRY.append(rule_class)
-    return rule_class
-
-
-def registered_shard_rule_classes() -> List[Type["ShardRule"]]:
-    """The registered classes, sorted by code."""
-    return sorted(_SHARD_REGISTRY,
-                  key=lambda cls: (len(cls.code), cls.code))
-
-
-def shard_rules() -> List["ShardRule"]:
-    """Fresh instances of every registered shard rule."""
-    return [cls() for cls in registered_shard_rule_classes()]
-
-
-class ShardRule:
-    """Base class for shard-affinity rules.
-
-    Subclasses set ``code``/``name`` and implement :meth:`check_model`,
-    yielding :class:`~repro.analysis.core.Finding` objects over a
-    :class:`~repro.analysis.shard.model.ShardModel`.
-    """
-
-    code: str = "R0"
-    name: str = "abstract-shard-rule"
-
-    def check_model(self, model: ShardModel) -> Iterator[Finding]:
-        """Yield findings over the shard-affinity model."""
-        return iter(())  # pragma: no cover
-
-    def finding(self, path: str, node: ast.AST, message: str) -> Finding:
-        return Finding(path, getattr(node, "lineno", 1),
-                       getattr(node, "col_offset", 0) + 1,
-                       self.code, self.name, message)
-
-    def __repr__(self) -> str:
-        return "<ShardRule %s %s>" % (self.code, self.name)
 
 
 def _mutation_summary(location: MutableLocation) -> str:
@@ -123,14 +73,26 @@ def _mutation_summary(location: MutableLocation) -> str:
     return "written at %s%s" % (first.where, extra)
 
 
-@register_shard
-class ProcessGlobalMutableStateRule(ShardRule):
-    """R15: a module/class-level mutable that is written at runtime."""
+@register
+class ProcessGlobalMutableStateRule(ProjectRule):
+    """R15: a module/class-level mutable that is written at runtime.
+
+    Why it matters: Shards of one world run in separate processes; state
+    hiding in module globals silently diverges between them and between
+    consecutive runs in one process.
+
+    Fix pattern: Move the state onto an object owned by one shard
+    (usually the Simulation or a component keyed by it).
+
+    Example: _REGISTRY: List[...] = []  # simlint: disable=R15
+    import-time append-only plugin registry
+    """
 
     code = "R15"
     name = "process-global-mutable-state"
+    model = ShardModel
 
-    def check_model(self, model: ShardModel) -> Iterator[Finding]:
+    def check_project(self, model: ShardModel) -> Iterator[Finding]:
         for location in model.sorted_locations():
             if not location.mutations or location.is_cache_named:
                 continue  # read-only tables are fine; caches are R17's
@@ -147,14 +109,26 @@ class ProcessGlobalMutableStateRule(ShardRule):
                               _mutation_summary(location)))
 
 
-@register_shard
-class CrossEntityDirectMutationRule(ShardRule):
-    """R16: host-family code mutating a site-family object, or back."""
+@register
+class CrossEntityDirectMutationRule(ProjectRule):
+    """R16: host-family code mutating a site-family object, or back.
+
+    Why it matters: The shard partition follows the host/site entity
+    families; a direct attribute write across that line bypasses the
+    message channel and breaks the partition's determinism contract.
+
+    Fix pattern: Send a message (or call a method on the owning side)
+    instead of reaching into the other family's attributes.
+
+    Example: site.load = x  # simlint: disable=R16 single-shard
+    configuration phase, before the clock starts
+    """
 
     code = "R16"
     name = "cross-entity-direct-mutation"
+    model = ShardModel
 
-    def check_model(self, model: ShardModel) -> Iterator[Finding]:
+    def check_project(self, model: ShardModel) -> Iterator[Finding]:
         for module_name in sorted(model.project.modules):
             module = model.project.modules[module_name]
             family = model.family(module_name)
@@ -223,14 +197,26 @@ def _chain_root(node: ast.AST) -> Optional[str]:
     return None
 
 
-@register_shard
-class UnkeyedProcessCacheRule(ShardRule):
-    """R17: memo state whose lifetime is the process, not a simulation."""
+@register
+class UnkeyedProcessCacheRule(ProjectRule):
+    """R17: memo state whose lifetime is the process, not a simulation.
+
+    Why it matters: A cache keyed only by input values survives across
+    simulations in one process; the second run hits entries the first
+    run warmed, so workers=1 vs workers=N (fresh processes) diverge.
+
+    Fix pattern: Key the cache by the owning Simulation (or store it on
+    one).
+
+    Example: _memo = {}  # simlint: disable=R17 pure function of inputs,
+    value identity never observed
+    """
 
     code = "R17"
     name = "unkeyed-process-cache"
+    model = ShardModel
 
-    def check_model(self, model: ShardModel) -> Iterator[Finding]:
+    def check_project(self, model: ShardModel) -> Iterator[Finding]:
         for location in model.sorted_locations():
             if location.mutations and location.is_cache_named:
                 yield self.finding(
@@ -265,14 +251,26 @@ class UnkeyedProcessCacheRule(ShardRule):
 _INTAKE_NAMES = ("add", "observe", "record", "inc", "sample")
 
 
-@register_shard
-class NonMergeableAccumulatorRule(ShardRule):
-    """R18: a sample-taking stats class without a deterministic merge."""
+@register
+class NonMergeableAccumulatorRule(ProjectRule):
+    """R18: a sample-taking stats class without a deterministic merge.
+
+    Why it matters: Per-shard statistics must merge into the
+    single-world answer after the run; an accumulator with no merge()
+    forces order-dependent recombination or silent dropping.
+
+    Fix pattern: Implement merge(other) with an order-independent
+    formulation, as the t-digest and counter classes do.
+
+    Example: class Peak:  # simlint: disable=R18 max() is trivially
+    merge-order-independent
+    """
 
     code = "R18"
     name = "non-mergeable-accumulator"
+    model = ShardModel
 
-    def check_model(self, model: ShardModel) -> Iterator[Finding]:
+    def check_project(self, model: ShardModel) -> Iterator[Finding]:
         for qualname in sorted(model.project.classes):
             klass = model.project.classes[qualname]
             intakes = [name for name in _INTAKE_NAMES
@@ -295,12 +293,12 @@ class NonMergeableAccumulatorRule(ShardRule):
             return False
         for node in own_nodes(info.node):
             if isinstance(node, ast.AugAssign) and \
-                    _is_self_attr(node.target):
+                    is_self_attr(node.target):
                 return True
             if isinstance(node, ast.Call) and \
                     isinstance(node.func, ast.Attribute) and \
                     node.func.attr == "append" and \
-                    _is_self_attr(node.func.value):
+                    is_self_attr(node.func.value):
                 return True
         return False
 
@@ -310,14 +308,25 @@ _SCHEDULING_FACTORIES = frozenset({"timeout", "event", "spawn",
                                    "process", "all_of", "any_of"})
 
 
-@register_shard
-class SharedEventQueueEscapeRule(ShardRule):
-    """R19: events pushed onto a timeline the caller does not own."""
+@register
+class SharedEventQueueEscapeRule(ProjectRule):
+    """R19: events pushed onto a timeline the caller does not own.
+
+    Why it matters: Scheduling onto another shard's kernel bypasses the
+    stamped channel; the event lands in a different barrier round on
+    every run.
+
+    Fix pattern: Route cross-shard work through ShardWorld.send().
+
+    Example: other.sim.call_at(t, f)  # simlint: disable=R19 both worlds
+    verified same-shard by the caller
+    """
 
     code = "R19"
     name = "shared-event-queue-escape"
+    model = ShardModel
 
-    def check_model(self, model: ShardModel) -> Iterator[Finding]:
+    def check_project(self, model: ShardModel) -> Iterator[Finding]:
         for module_name in sorted(model.project.modules):
             module = model.project.modules[module_name]
             family = model.family(module_name)
@@ -336,7 +345,7 @@ class SharedEventQueueEscapeRule(ShardRule):
 
     def _check_call(self, module, family, info, node: ast.Call,
                     params, foreign) -> Iterator[Finding]:
-        dotted = _dotted(node.func)
+        dotted = dotted_name(node.func)
         if dotted is None:
             return
         parts = dotted.split(".")

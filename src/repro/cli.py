@@ -16,7 +16,6 @@ Usage::
                             [--scale-inventory FILE] [--explain RULE]
                             [--json | --sarif] [--baseline FILE]
     python -m repro sanitize {figure1,table1,table2} [--seed N]
-                             [--shard-model {site,host}]
     python -m repro trace {figure1,table1,table2} [--out trace.json]
     python -m repro metrics {figure1,table1,table2} [--json]
     python -m repro record {figure1,table1,table2} [--interval T]
@@ -35,10 +34,7 @@ growth-dimension rules R22-R26 (``--scale-inventory`` also regenerates
 ``docs/scale-readiness.md``); ``--explain R22`` prints one rule's full
 documentation.
 ``sanitize`` replays a scenario under the simsan runtime determinism
-sanitizer and exits non-zero on hazards or output divergence;
-``--shard-model site|host`` swaps in the shard-affinity sanitizer,
-which additionally reports cross-partition event deliveries
-(zero-delay ones are hazards, lookahead-covered ones informational).  ``trace``
+sanitizer and exits non-zero on hazards or output divergence.  ``trace``
 replays a representative session life cycle for an experiment and
 writes a Chrome-trace-event JSON file (load it at ui.perfetto.dev);
 ``metrics`` prints the metrics registry after the same run.  ``record``
@@ -63,8 +59,7 @@ under the deterministic conservative protocol of
 :mod:`repro.simulation.sharded` with adaptive windows
 (``docs/sharding.md``).
 Its artifacts are byte-identical for any shard count.  Any other
-command rejects ``--shards`` other than 1 (and any command but
-``sanitize`` rejects ``--shard-model``), and the count arguments
+command rejects ``--shards`` other than 1, and the count arguments
 (``--samples``, ``--workers``, ``--shards``, ``--sites``,
 ``--sessions``) must be positive: both are usage errors (exit 2).
 """
@@ -304,17 +299,11 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_sanitize(args) -> int:
+    from repro.analysis.sanitizer import DeterminismSanitizer
     from repro.obs.runner import run_scenario
 
     target = _require_target(args)
-    if args.shard_model:
-        from repro.analysis.shardsan import ShardAffinitySanitizer
-
-        sanitizer = ShardAffinitySanitizer(shard_model=args.shard_model)
-    else:
-        from repro.analysis.sanitizer import DeterminismSanitizer
-
-        sanitizer = DeterminismSanitizer()
+    sanitizer = DeterminismSanitizer()
     sim = run_scenario(target, seed=args.seed, tracer=sanitizer)
     hazards = sanitizer.finish()
     # The sanitizer must be a pure observer: replay the scenario
@@ -324,20 +313,11 @@ def _cmd_sanitize(args) -> int:
                  and sim.metrics.to_json() == plain.metrics.to_json())
     for hazard in hazards:
         print(hazard.render())
-    crossings = getattr(sanitizer, "crossings", ())
-    for crossing in crossings:
-        print(crossing.render())
-    suffix = ""
-    if args.shard_model:
-        suffix = (", %d cross-partition crossing(s) under the %s model"
-                  % (len(crossings), args.shard_model))
     print("simsan: %s, seed %d: %d hazard(s), %.2f simulated seconds, "
-          "output %s%s"
+          "output %s"
           % (target, args.seed, len(hazards), sim.now,
              "identical to untraced run" if identical
-             else "DIVERGED from untraced run", suffix))
-    # Crossings are informational (shardable with lookahead); only
-    # hazards — including shard violations — and divergence fail.
+             else "DIVERGED from untraced run"))
     return 1 if hazards or not identical else 0
 
 
@@ -429,10 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--shard-inventory", default=None, metavar="FILE",
                         help="analyze: regenerate the shard-safety "
                              "inventory at FILE (implies --shard)")
-    parser.add_argument("--shard-model", default=None,
-                        choices=("site", "host"),
-                        help="sanitize: also check shard-affinity at "
-                             "runtime, partitioning by site or by host")
     parser.add_argument("--sarif", action="store_true",
                         help="analyze: emit findings as SARIF 2.1.0")
     parser.add_argument("--baseline", default=None, metavar="FILE",
@@ -459,8 +435,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.shards != 1 and args.command != "fleet":
         parser.error("--shards applies only to fleet")
-    if args.shard_model and args.command != "sanitize":
-        parser.error("--shard-model applies only to sanitize")
     if args.samples is None:
         args.samples = 150 if args.command == "figure1" else 10
     if args.command == "all":

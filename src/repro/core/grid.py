@@ -263,35 +263,17 @@ class VirtualGrid:
             raise SimulationError("user %s has no home gateway" % user)
         return self._gateways[user]
 
-    def partitions(self, model: str = "site") -> Dict[str, str]:
-        """Host name -> owning partition label under a shard model.
-
-        ``model="site"`` partitions the grid the way the sharded engine
-        would — one shard per site, every host owned by its site —
-        while ``model="host"`` gives the finest split (one shard per
-        physical machine).  The runtime shard-affinity sanitizer
-        (:mod:`repro.analysis.shardsan`) consumes this map to decide
-        which span contexts belong to which partition.
-        """
-        if model not in ("site", "host"):
-            raise SimulationError("unknown shard model %r "
-                                  "(expected 'site' or 'host')" % model)
-        return {name: (machine.site if model == "site" else name)
-                for name, machine in sorted(self._machines.items())}
-
-    def partition_of(self, host_name: str, model: str = "site") -> str:
-        """The shard label owning ``host_name`` ('' if unknown)."""
+    def partition_of(self, host_name: str) -> str:
+        """The site owning ``host_name`` ('' if unknown): its shard key."""
         machine = self._machines.get(host_name)
-        if machine is None:
-            return ""
-        return machine.site if model == "site" else host_name
+        return "" if machine is None else machine.site
 
     def scoped_metrics(self, host_name: str):
         """A metrics view keyed to the host's partition.
 
         Components owned by one host resolve their metrics through this
         once at construction, so every collector they create carries
-        the shard key that :meth:`partitions` would assign the host —
+        the host's shard key (:meth:`partition_of`) —
         the property that lets per-shard registries merge to exactly
         the single-process result.
         """

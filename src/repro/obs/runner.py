@@ -128,12 +128,6 @@ def run_scenario(name: str, seed: int = 0,
         recorder = FlightRecorder(sim, interval=recorder_interval,
                                   capacity=recorder_capacity)
         recorder.start()
-    # Partition-aware tracers (the shard-affinity sanitizer) learn the
-    # host -> partition map once the topology exists; duck-typed so the
-    # runner needs no analysis imports.
-    bind_grid = getattr(tracer, "bind_grid", None)
-    if bind_grid is not None:
-        bind_grid(grid)
     session = grid.new_session(config)
 
     def drive(_sim):

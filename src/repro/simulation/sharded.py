@@ -1,7 +1,7 @@
 """Sharded parallel simulation with deterministic conservative sync.
 
-One large scenario, many cores: the grid is partitioned (by site, via
-:meth:`repro.core.grid.VirtualGrid.partitions`), each partition runs
+One large scenario, many cores: the grid is partitioned (by site, as
+:meth:`repro.core.grid.VirtualGrid.partition_of` keys it), each partition runs
 its *own* :class:`~repro.simulation.kernel.Simulation` kernel, and the
 kernels synchronize with a conservative window protocol whose
 lookahead is the simulated WAN latency between the partitions'

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -111,12 +112,38 @@ def test_cli_missing_path_is_usage_error(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def _listed_codes(out):
+    return [line.split()[0] for line in out.splitlines()]
+
+
 def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for code in ALL_CODES:
         assert code in out
     assert "global-random" in out
+    assert _listed_codes(out) == ALL_CODES + ["R10", "R20", "R21"]
+
+
+def test_cli_list_rules_every_family_once_in_code_order(capsys):
+    assert main(["--deep", "--shard", "--scale", "--list-rules"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert _listed_codes("\n".join(lines)) == \
+        ["R%d" % n for n in range(1, 27)]
+    # One layout for every family: names and summaries start in the
+    # same columns on every line.
+    for columns in (r"R\d+ +", r"R\d+ +\S+ +"):
+        assert len({re.match(columns, line).end() for line in lines}) == 1
+
+
+def test_unparsable_file_is_one_parse_error_for_every_family(tmp_path,
+                                                            capsys):
+    (tmp_path / "bad.py").write_text("def broken(:\n")
+    assert main(["--deep", "--shard", "--scale", "--format=json",
+                 str(tmp_path)]) == 1
+    findings = json.loads(capsys.readouterr().out)["findings"]
+    assert [(f["code"], f["line"], f["col"]) for f in findings] == \
+        [("E0", 1, 13)]
 
 
 def test_directory_walk_is_recursive_and_sorted(tmp_path):

@@ -5,7 +5,8 @@ import os
 import pytest
 
 import repro
-from repro.analysis.dataflow import analyze_project, build_engine
+from repro.analysis import analyze_paths, default_rules
+from repro.analysis.dataflow import build_engine
 from repro.analysis.dataflow.callgraph import CallGraph, resolve_call
 from repro.analysis.dataflow.symbols import build_project, module_name_for
 from repro.analysis.dataflow.taint import (
@@ -20,6 +21,11 @@ FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 REPRO_PKG = os.path.dirname(os.path.abspath(repro.__file__))
 
 
+def deep_findings(paths):
+    """The deep rules R11-R14 alone over ``paths``."""
+    return analyze_paths(paths, default_rules(("--deep",)))
+
+
 @pytest.fixture(scope="module")
 def fixture_engine():
     return build_engine([FIXTURE])
@@ -27,7 +33,7 @@ def fixture_engine():
 
 @pytest.fixture(scope="module")
 def fixture_findings():
-    return analyze_project([FIXTURE])
+    return deep_findings([FIXTURE])
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +67,7 @@ class TestSymbols:
     def test_syntax_error_becomes_parse_error(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text("def broken(:\n")
-        findings = analyze_project([str(bad)])
+        findings = deep_findings([str(bad)])
         assert [f.code for f in findings] == ["E0"]
 
 
@@ -146,7 +152,7 @@ class TestTaint:
             "repro.simulation.resources.Store.put").returns_event
 
     def test_sorted_launders_unordered(self, fixture_engine):
-        findings = analyze_project([FIXTURE])
+        findings = deep_findings([FIXTURE])
         sorted_lines = [f for f in findings
                         if f.code == "R14" and "emit_sorted" in f.message]
         assert sorted_lines == []
@@ -202,11 +208,11 @@ class TestDeepRules:
         assert not any("clean.py" in f.path for f in fixture_findings)
 
     def test_repro_package_is_deep_clean(self):
-        findings = analyze_project([REPRO_PKG])
+        findings = deep_findings([REPRO_PKG])
         assert findings == [], [f.format() for f in findings]
 
     def test_findings_are_deterministic(self):
-        first = analyze_project([FIXTURE])
-        second = analyze_project([FIXTURE])
+        first = deep_findings([FIXTURE])
+        second = deep_findings([FIXTURE])
         assert [f.to_dict() for f in first] == \
                [f.to_dict() for f in second]

@@ -428,6 +428,18 @@ def test_register_rejects_duplicate_codes():
         register(Duplicate)
 
 
+@pytest.mark.parametrize("project, code", [
+    (False, "R11"), (False, "R15"), (False, "R22"), (True, "R1")])
+def test_register_rejects_codes_taken_by_any_family(project, code):
+    # One registry: no rule may reuse a code that any family holds.
+    from repro.analysis import ProjectRule, Rule, register
+
+    base = ProjectRule if project else Rule
+    duplicate = type("Duplicate", (base,), {"code": code, "name": "dup"})
+    with pytest.raises(ValueError):
+        register(duplicate)
+
+
 def test_register_rejects_non_rules():
     from repro.analysis import register
 

@@ -70,8 +70,7 @@ def test_own_nodes_walks_each_scope_once(monkeypatch):
     # Every pass reads a scope's nodes through ``own_nodes``; it must
     # give the reference walk's nodes in the same order, and a repeat
     # request for the same scope must not walk the tree again.
-    from repro.analysis.dataflow.callgraph import own_nodes
-    from repro.analysis.dataflow.symbols import build_project
+    from repro.analysis.dataflow.symbols import build_project, own_nodes
 
     fixture = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "fixtures", "taintpkg")

@@ -300,3 +300,11 @@ class TestPureObserver:
         plain = run_scenario(scenario, seed=42)
         assert sim.now == plain.now
         assert sim.metrics.to_json() == plain.metrics.to_json()
+
+    def test_cli_sanitize_exits_clean(self, capsys):
+        from repro.cli import main as repro_main
+
+        assert repro_main(["sanitize", "table2", "--seed", "42"]) == 0
+        out = capsys.readouterr().out
+        assert " 0 hazard(s)" in out
+        assert "identical to untraced run" in out

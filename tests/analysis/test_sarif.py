@@ -3,7 +3,7 @@
 import json
 
 from repro.analysis.core import Finding
-from repro.analysis.rules import default_rules
+from repro.analysis import default_rules
 from repro.analysis.sarif import (
     SARIF_SCHEMA,
     SARIF_VERSION,

@@ -6,6 +6,7 @@ import os
 import pytest
 
 import repro
+from repro.analysis import analyze_paths, default_rules
 from repro.analysis.cli import main as simlint_main
 from repro.analysis.sarif import render_sarif
 from repro.analysis.scale import (
@@ -13,11 +14,8 @@ from repro.analysis.scale import (
     PER_HOST,
     PER_SITE,
     POPULATION,
-    analyze_scale,
     build_scale_model,
     dim_order,
-    registered_scale_rule_classes,
-    scale_rules,
 )
 from repro.analysis.scale.inventory import render_inventory
 
@@ -26,14 +24,18 @@ FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 REPRO_PKG = os.path.dirname(os.path.abspath(repro.__file__))
 
 
+def scale_family():
+    return default_rules(("--scale",))
+
+
 @pytest.fixture(scope="module")
 def fixture_model():
     return build_scale_model([FIXTURE])
 
 
 @pytest.fixture(scope="module")
-def fixture_findings(fixture_model):
-    return analyze_scale([FIXTURE], model=fixture_model)
+def fixture_findings():
+    return analyze_paths([FIXTURE], scale_family())
 
 
 def _at(findings, code, filename):
@@ -196,7 +198,7 @@ class TestRulesOnFixture:
 
 class TestRepoIsClean:
     def test_src_repro_has_zero_unsuppressed_findings(self):
-        assert analyze_scale([REPRO_PKG]) == []
+        assert analyze_paths([REPRO_PKG], scale_family()) == []
 
 
 # -- inventory -------------------------------------------------------------
@@ -221,7 +223,7 @@ class TestInventory:
         assert "per-session" in text and "per-host" in text
 
     def test_committed_repo_inventory_is_current(self, monkeypatch):
-        # make scalecheck regenerates docs/scale-readiness.md; the
+        # make lint regenerates docs/scale-readiness.md; the
         # committed file must match a fresh rendering byte-for-byte.
         repo_root = os.path.dirname(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))))
@@ -240,12 +242,12 @@ class TestInventory:
 
 class TestIntegration:
     def test_registry_exposes_r22_to_r26_in_order(self):
-        codes = [cls.code for cls in registered_scale_rule_classes()]
+        codes = [rule.code for rule in scale_family()]
         assert codes == ["R22", "R23", "R24", "R25", "R26"]
 
     def test_sarif_includes_scale_rules(self, fixture_findings):
         document = json.loads(render_sarif(fixture_findings,
-                                           scale_rules()))
+                                           scale_family()))
         driver = document["runs"][0]["tool"]["driver"]
         assert [r["id"] for r in driver["rules"]] == \
             ["R22", "R23", "R24", "R25", "R26"]
@@ -273,3 +275,7 @@ class TestIntegration:
         out = capsys.readouterr().out
         for code in ("R22", "R23", "R24", "R25", "R26"):
             assert code in out
+        # Once each, after the per-file rules, in code order.
+        listed = [line.split()[0] for line in out.splitlines()]
+        assert listed == ["R%d" % n for n in range(1, 11)] + \
+            ["R%d" % n for n in range(20, 27)]

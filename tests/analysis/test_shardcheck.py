@@ -6,14 +6,12 @@ import os
 import pytest
 
 import repro
+from repro.analysis import analyze_paths, default_rules
 from repro.analysis.cli import main as simlint_main
 from repro.analysis.sarif import render_sarif
 from repro.analysis.shard import (
-    analyze_shard,
     build_shard_model,
     family_of_module,
-    registered_shard_rule_classes,
-    shard_rules,
 )
 from repro.analysis.shard.inventory import render_inventory
 from repro.analysis.shard.model import GLOBAL, HOST, LOCAL, SHARED, SITE
@@ -23,14 +21,18 @@ FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 REPRO_PKG = os.path.dirname(os.path.abspath(repro.__file__))
 
 
+def shard_family():
+    return default_rules(("--shard",))
+
+
 @pytest.fixture(scope="module")
 def fixture_model():
     return build_shard_model([FIXTURE])
 
 
 @pytest.fixture(scope="module")
-def fixture_findings(fixture_model):
-    return analyze_shard([FIXTURE], model=fixture_model)
+def fixture_findings():
+    return analyze_paths([FIXTURE], shard_family())
 
 
 def _at(findings, code, filename):
@@ -165,7 +167,7 @@ class TestRulesOnFixture:
 
 class TestRepoIsClean:
     def test_src_repro_has_zero_unsuppressed_findings(self):
-        assert analyze_shard([REPRO_PKG]) == []
+        assert analyze_paths([REPRO_PKG], shard_family()) == []
 
 
 # -- inventory -------------------------------------------------------------
@@ -190,7 +192,7 @@ class TestInventory:
         assert "frozen-dataclass method" in text
 
     def test_committed_repo_inventory_is_current(self, monkeypatch):
-        # make shardcheck regenerates docs/shard-safety.md; the
+        # make lint regenerates docs/shard-safety.md; the
         # committed file must match a fresh rendering byte-for-byte.
         repo_root = os.path.dirname(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))))
@@ -209,12 +211,12 @@ class TestInventory:
 
 class TestIntegration:
     def test_registry_exposes_r15_to_r19_in_order(self):
-        codes = [cls.code for cls in registered_shard_rule_classes()]
+        codes = [rule.code for rule in shard_family()]
         assert codes == ["R15", "R16", "R17", "R18", "R19"]
 
     def test_sarif_includes_shard_rules(self, fixture_findings):
         document = json.loads(render_sarif(fixture_findings,
-                                           shard_rules()))
+                                           shard_family()))
         driver = document["runs"][0]["tool"]["driver"]
         assert [r["id"] for r in driver["rules"]] == \
             ["R15", "R16", "R17", "R18", "R19"]
@@ -241,3 +243,7 @@ class TestIntegration:
         out = capsys.readouterr().out
         for code in ("R15", "R16", "R17", "R18", "R19"):
             assert code in out
+        # Once each, between the per-file rules, in code order.
+        listed = [line.split()[0] for line in out.splitlines()]
+        assert listed == ["R%d" % n for n in range(1, 11)] + \
+            ["R%d" % n for n in range(15, 22)]

@@ -124,8 +124,9 @@ def test_cli_fleet_output_identical_across_shards(tmp_path, capsys):
     ["table1", "--shard-model", "host"],
 ], ids=lambda argv: " ".join(argv))
 def test_cli_usage_errors_exit_2(argv, capsys):
-    """Bad counts and --shards/--shard-model outside fleet/sanitize are
-    usage errors: exit 2 and one ``error:`` line, never a traceback."""
+    """Bad counts, --shards outside fleet and unknown options such as
+    --shard-model are usage errors: exit 2 and one ``error:`` line,
+    never a traceback."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
