@@ -11,13 +11,14 @@ static-analysis framework ("simlint") that enforces exactly that:
 * event scheduling must not depend on hash ordering,
 * events must not be silently lost.
 
-Run it as ``python -m repro.analysis src/repro`` or through the main
-CLI as ``python -m repro analyze``.  Rules are plugins in one registry
-(:mod:`repro.analysis.core`); importing this package registers every
-built-in family — the per-file rules (:mod:`repro.analysis.rules`) and
-the project rules of ``--deep`` (:mod:`repro.analysis.dataflow`),
-``--shard`` (:mod:`repro.analysis.shard`) and ``--scale``
-(:mod:`repro.analysis.scale`).  ``docs/static_analysis.md`` shows how
+Run it as ``python -m repro.analysis src/repro``.  Rules are plugins in
+one registry (:mod:`repro.analysis.core`); importing this package
+registers every built-in family — the per-file rules
+(:mod:`repro.analysis.rules`) and the project rules of ``--deep``
+(:mod:`repro.analysis.dataflow`), ``--shard``
+(:mod:`repro.analysis.shard`) and ``--scale``
+(:mod:`repro.analysis.scale`); the last two read one state model
+(:mod:`repro.analysis.state`).  ``docs/static_analysis.md`` shows how
 to write new ones.
 """
 

@@ -7,9 +7,9 @@ message)`` — so unrelated edits that shift a legacy finding up or down
 a few lines do not break the build, while a genuinely new finding (new
 file, new rule code, or new message text) always does.
 
-``repro analyze --baseline analysis-baseline.json`` filters the run's
-findings down to the ones *not* covered by the baseline: for each
-fingerprint, up to the recorded count is absorbed, and any excess
+``python -m repro.analysis --baseline analysis-baseline.json`` filters
+the run's findings down to the ones *not* covered by the baseline: for
+each fingerprint, up to the recorded count is absorbed, and any excess
 surfaces.  Counts only ratchet down — regenerate the file with
 ``--write-baseline`` after paying down debt.
 """

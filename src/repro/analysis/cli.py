@@ -59,9 +59,8 @@ from repro.analysis.core import (
 )
 from repro.analysis.sarif import render_sarif
 from repro.analysis.scale.inventory import render_inventory as scale_inventory
-from repro.analysis.scale.model import ScaleModel
 from repro.analysis.shard.inventory import render_inventory as shard_inventory
-from repro.analysis.shard.model import ShardModel
+from repro.analysis.state import StateModel
 
 __all__ = ["build_parser", "main", "explain_rule"]
 
@@ -211,11 +210,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                   % args.explain, file=sys.stderr)
             return 2
         return 0
-    # (model, renderer, file) for each inventory to regenerate; asking
-    # for one also selects its family.
-    inventories = [(model, render, path) for model, render, path in (
-        (ShardModel, shard_inventory, args.shard_inventory),
-        (ScaleModel, scale_inventory, args.scale_inventory)) if path]
+    # (renderer, file) for each inventory to regenerate from the state
+    # model; asking for one also selects its family.
+    inventories = [(render, path) for render, path in (
+        (shard_inventory, args.shard_inventory),
+        (scale_inventory, args.scale_inventory)) if path]
     families = ["per-file"]
     families += [flag for flag, wanted in (
         ("--deep", args.deep),
@@ -235,10 +234,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         findings = analyzer.analyze_paths(
             args.paths or [_default_target()],
-            models=[model for model, _, _ in inventories])
-        for model, render, path in inventories:
+            models=[StateModel] if inventories else [])
+        for render, path in inventories:
             with open(path, "w", encoding="utf-8") as handle:
-                handle.write(render(analyzer.models[model]))
+                handle.write(render(analyzer.models[StateModel]))
     except OSError as exc:
         print("simlint: cannot read %s: %s"
               % (exc.filename or "path", exc.strerror or exc),

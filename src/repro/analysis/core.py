@@ -11,8 +11,8 @@ with :func:`register` into one registry, whatever it reads:
   hold sets) implement :meth:`Rule.check_module` instead of — or in
   addition to — the per-node hook;
 * a :class:`ProjectRule` names the whole-program model it reads
-  (``model``: the taint engine, the shard-affinity model or the
-  growth-dimension model) and implements
+  (``model``: the taint engine, or the state model the shard and scale
+  rules share) and the flag that selects it (``family``), and implements
   :meth:`ProjectRule.check_project`.  The analyzer parses the tree once,
   builds each model the selected rules name once from that parse, and
   lints the per-file rules over the same trees.
@@ -25,14 +25,16 @@ Suppression mirrors the classic lint idiom::
 
     self.rng = random.Random(0)  # simlint: disable=R1  calibration-only
 
-disables the named rule(s) on that line only, and a line anywhere in the
-file reading ``# simlint: disable-file=R2`` disables a rule for the whole
-module.  Codes ("R1") and slugs ("global-random") are both accepted.
+disables the named rule(s) on that line only, and a comment anywhere in
+the file reading ``# simlint: disable-file=R2`` disables a rule for the
+whole module.  Only comments suppress: the same text in a string does
+not.  Codes ("R1") and slugs ("global-random") are both accepted.
 """
 
 from __future__ import annotations
 
 import ast
+import io
 import os
 import re
 import tokenize
@@ -240,16 +242,13 @@ class ProjectRule(Rule):
 
     Subclasses set ``model`` to the analysis they read — a class built
     from a :class:`~repro.analysis.dataflow.symbols.ProjectModel` by
-    ``model(project)``, whose ``flag`` is the command-line switch that
-    selects the rule's family — and implement :meth:`check_project`.
+    ``model(project)`` — and ``family`` to the command-line switch that
+    selects them, and implement :meth:`check_project`.  Rules of two
+    families may read one model; it is built once.
     """
 
-    #: TaintEngine, ShardModel or ScaleModel.
+    #: TaintEngine or StateModel.
     model: type
-
-    @property
-    def family(self) -> str:
-        return self.model.flag
 
     def check_project(self, model) -> Iterator[Finding]:
         """Yield findings over one built ``model``."""
@@ -316,17 +315,29 @@ def default_rules(families: Sequence[str] = ("per-file",)) -> List[Rule]:
 
 
 def _parse_suppressions(source: str) -> Tuple[Dict[int, Set[str]], Set[str]]:
-    """Map line number -> suppressed tokens, plus file-wide tokens."""
+    """Map line number -> suppressed tokens, plus file-wide tokens.
+
+    Only comments count: the same text inside a string literal (a
+    docstring's example, say) suppresses nothing.
+    """
     per_line: Dict[int, Set[str]] = {}
     whole_file: Set[str] = set()
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        match = _SUPPRESS_FILE_RE.search(line)
-        if match:
-            whole_file.update(_tokens(match.group(1)))
-            continue
-        match = _SUPPRESS_RE.search(line)
-        if match:
-            per_line.setdefault(lineno, set()).update(_tokens(match.group(1)))
+    if "simlint:" not in source:
+        return per_line, whole_file
+    try:
+        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+            if token.type != tokenize.COMMENT:
+                continue
+            match = _SUPPRESS_FILE_RE.search(token.string)
+            if match:
+                whole_file.update(_tokens(match.group(1)))
+                continue
+            match = _SUPPRESS_RE.search(token.string)
+            if match:
+                per_line.setdefault(token.start[0], set()).update(
+                    _tokens(match.group(1)))
+    except (tokenize.TokenError, SyntaxError):
+        pass  # keep the comments read before the error
     return per_line, whole_file
 
 

@@ -94,6 +94,7 @@ class TaintedSimStateRule(ProjectRule):
     code = "R11"
     name = "tainted-sim-state"
     model = TaintEngine
+    family = "--deep"
 
     _KINDS = {WALLCLOCK, ENTROPY, WORKER}
 
@@ -131,6 +132,7 @@ class RngStreamEscapeRule(ProjectRule):
     code = "R12"
     name = "rng-stream-escape"
     model = TaintEngine
+    family = "--deep"
 
     def check_project(self, engine: TaintEngine) -> Iterator[Finding]:
         for qualname in sorted(engine.call_sites):
@@ -214,6 +216,7 @@ class HelperEventDiscardedRule(ProjectRule):
     code = "R13"
     name = "helper-event-discarded"
     model = TaintEngine
+    family = "--deep"
 
     def check_project(self, engine: TaintEngine) -> Iterator[Finding]:
         for qualname in sorted(engine.call_sites):
@@ -258,6 +261,7 @@ class UnorderedKeyTaintRule(ProjectRule):
     code = "R14"
     name = "unordered-key-taint"
     model = TaintEngine
+    family = "--deep"
 
     def check_project(self, engine: TaintEngine) -> Iterator[Finding]:
         for qualname in sorted(engine.call_sites):

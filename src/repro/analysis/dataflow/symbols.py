@@ -11,7 +11,9 @@ tree can still be analyzed.
 
 Module names are derived structurally: a file's dotted name is its
 path relative to the outermost ancestor directory that still contains
-an ``__init__.py``.  That makes the table equally happy analyzing
+an ``__init__.py``.  When two analysed files derive the same name, the
+later one is qualified by its parent directories, so every file keeps
+its own entry.  That makes the table equally happy analyzing
 ``src/repro`` and a throwaway fixture package in a temp directory.
 """
 
@@ -225,7 +227,18 @@ class ProjectModel:
         except SyntaxError as exc:
             self.parse_errors[path] = exc
             return None
-        module = ModuleInfo(module_name_for(path), path, source, tree)
+        name = module_name_for(path)
+        parent = os.path.dirname(os.path.abspath(path))
+        while name in self.modules and os.path.abspath(
+                self.modules[name].path) != os.path.abspath(path):
+            # Another file has this name (``a.py`` atop two directories
+            # without ``__init__.py``): qualify it by its directories
+            # until it is unique, so neither file shadows the other.
+            parent, directory = os.path.split(parent)
+            if not directory:
+                break
+            name = "%s.%s" % (directory, name)
+        module = ModuleInfo(name, path, source, tree)
         self.add_module(module)
         return module
 

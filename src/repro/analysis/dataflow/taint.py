@@ -195,9 +195,6 @@ class TaintEngine:
     """Summaries and call sites for a project, iterated to the fixpoint
     on construction (see module doc)."""
 
-    #: The command-line switch of the rules that read this model.
-    flag = "--deep"
-
     #: Safety bound on global fixpoint rounds; real projects converge
     #: in a handful because the lattice is four bits per value.
     MAX_ROUNDS = 30
@@ -223,15 +220,20 @@ class TaintEngine:
     def _solve(self) -> None:
         """Iterate to fixpoint, then freeze per-call-site facts."""
         order = sorted(self.summaries)
+        states: Dict[str, _FnState] = {}
         for _round in range(self.MAX_ROUNDS):
             self._changed = False
             for qualname in order:
-                self._analyze_function(self.summaries[qualname])
+                states[qualname] = self._analyze_function(
+                    self.summaries[qualname])
             if not self._changed:
                 break
+        # The last round changed no summary (the lattice converges well
+        # inside MAX_ROUNDS), so each function's local state from it is
+        # the one its call sites are read against.
         for qualname in order:
             self.call_sites[qualname] = self._build_call_sites(
-                self.summaries[qualname])
+                self.summaries[qualname], states[qualname])
 
     # -- public --------------------------------------------------------------
 
@@ -286,7 +288,7 @@ class TaintEngine:
 
     # -- local analysis ------------------------------------------------------
 
-    def _analyze_function(self, summary: FunctionSummary) -> None:
+    def _analyze_function(self, summary: FunctionSummary) -> _FnState:
         info = summary.info
         state = _FnState()
         for param in info.params:
@@ -304,6 +306,7 @@ class TaintEngine:
                      frozenset(state.streams), frozenset(state.setlike))
             if before == after:
                 break
+        return state
 
     def _walk_body(self, summary: FunctionSummary, state: _FnState) -> None:
         info = summary.info
@@ -580,20 +583,9 @@ class TaintEngine:
 
     # -- call-site freezing --------------------------------------------------
 
-    def _build_call_sites(self,
-                          summary: FunctionSummary) -> List[CallSite]:
+    def _build_call_sites(self, summary: FunctionSummary,
+                          state: _FnState) -> List[CallSite]:
         info = summary.info
-        state = _FnState()
-        for param in info.params:
-            state.env[param] = set(summary.param_taint.get(param, ()))
-        state.streams |= summary.stream_params
-        state.setlike |= summary.setlike_params
-        for _pass in range(8):
-            before = dict((k, frozenset(v)) for k, v in state.env.items())
-            self._walk_body(summary, state)
-            if dict((k, frozenset(v))
-                    for k, v in state.env.items()) == before:
-                break
         bare = {id(node.value) for node in own_nodes(info.node)
                 if isinstance(node, ast.Expr)
                 and isinstance(node.value, ast.Call)}

@@ -33,13 +33,14 @@ def relmsg(message: str) -> str:
     return message.replace(os.path.abspath(os.getcwd()) + os.sep, "")
 
 
-def family_findings(model) -> Tuple[List[Finding],
-                                    Callable[[Finding], str]]:
-    """Every finding of the rules reading ``model``, sorted and before
-    suppression, and the function labelling one OPEN or justified."""
+def family_findings(model, family: str) -> Tuple[List[Finding],
+                                                 Callable[[Finding], str]]:
+    """Every finding of ``family``'s rules (``"--shard"`` or
+    ``"--scale"``) on ``model``, sorted and before suppression, and the
+    function labelling one OPEN or justified."""
     findings: List[Finding] = []
     seen = set()
-    for rule in default_rules((model.flag,)):
+    for rule in default_rules((family,)):
         for finding in rule.check_project(model):
             if _key(finding) not in seen:
                 seen.add(_key(finding))

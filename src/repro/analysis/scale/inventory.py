@@ -1,9 +1,8 @@
-"""Render the growth-dimension model as ``docs/scale-readiness.md``.
+"""Render the scale rules' view of the state model as
+``docs/scale-readiness.md``.
 
-The inventory is the concrete work-list the brokered task-queue layer
-(ROADMAP item 2) consumes before opening the arrival process to a
-million-session population: every collection whose size scales with
-the scenario, its inferred dimension with provenance, and every
+The inventory lists every collection whose size scales with the
+scenario, its inferred growth dimension with provenance, and every
 R22–R26 finding with its current status.  *Open* findings are ones the
 ratcheted lint gate would report; *justified* ones carry a
 ``# simlint: disable=R..`` suppression whose trailing prose documents
@@ -24,18 +23,15 @@ from repro.analysis.inventory import (
     relpath,
     table,
 )
-from repro.analysis.scale.model import (
-    BOUNDED,
-    DIMENSIONS,
-    ScaleModel,
-)
+from repro.analysis.state import BOUNDED, DIMENSIONS, StateModel
 
 __all__ = ["render_inventory"]
 
 
-def render_inventory(model: ScaleModel) -> str:
+def render_inventory(model: StateModel) -> str:
     """The complete scale-readiness inventory as Markdown text."""
-    findings, verdict = family_findings(model)
+    findings, verdict = family_findings(model, "--scale")
+    collections = model.sorted_collections()
 
     lines: List[str] = [
         "# Scale-readiness inventory",
@@ -59,14 +55,14 @@ def render_inventory(model: ScaleModel) -> str:
 
     # -- dimension summary -------------------------------------------------
     counts: Dict[str, int] = {dim: 0 for dim in DIMENSIONS}
-    for collection in model.sorted_collections():
+    for collection in collections:
         counts[collection.dimension] += 1
     lines += [
         "## Growth dimensions",
         "",
         "%d tracked collection(s); per-event hot set: %d function(s) "
         "(generators, kernel drains, and their call closure)."
-        % (len(model.collections), len(model.hot)),
+        % (len(collections), len(model.hot)),
         "",
     ]
     lines += table(["Dimension", "Collections"],
@@ -82,7 +78,7 @@ def render_inventory(model: ScaleModel) -> str:
         "",
     ]
     rows = []
-    for collection in model.sorted_collections():
+    for collection in collections:
         if collection.dimension == BOUNDED:
             continue
         rows.append([

@@ -4,7 +4,7 @@ Where R15–R19 chase *ownership* (who may touch state), these five
 rules chase *complexity*: per-event work or memory that is
 proportional to the session population, the failure mode that turns a
 million-session run into a quadratic crawl.  Each rule reads the
-:class:`~repro.analysis.scale.model.ScaleModel` — inferred growth
+:class:`~repro.analysis.state.StateModel` — inferred growth
 dimensions plus the per-event hot set — and reports at most one
 finding per (collection, function) pair, so one suppression comment
 covers one remediation decision.
@@ -33,7 +33,7 @@ covers one remediation decision.
   per invalidation epoch behind an ``if ... is None`` / epoch test.
 
 Each is a :class:`~repro.analysis.core.ProjectRule` reading the
-:class:`ScaleModel`, registered with :func:`~repro.analysis.core.register`
+:class:`StateModel`, registered with :func:`~repro.analysis.core.register`
 like every other rule and selected by ``--scale``, so suppressions, SARIF
 export and the baseline ratchet apply unchanged.
 """
@@ -43,18 +43,14 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Tuple
 
 from repro.analysis.core import Finding, ProjectRule, register
-from repro.analysis.scale.model import (
-    POPULATION,
-    ScaleModel,
-    UseSite,
-)
+from repro.analysis.state import POPULATION, Site, StateModel
 
 __all__ = ["PerEventLinearScanRule", "UnboundedGrowthContainerRule",
            "QuadraticMembershipRule", "PerEventAllocationRule",
            "RebuildInHotPathRule"]
 
 
-def _by_function(sites: List[UseSite]) -> List[Tuple[str, List[UseSite]]]:
+def _by_function(sites: List[Site]) -> List[Tuple[str, List[Site]]]:
     """Sites grouped per enclosing function, module level excluded."""
     grouped: Dict[str, List[UseSite]] = {}
     for site in sites:
@@ -95,9 +91,10 @@ class PerEventLinearScanRule(ProjectRule):
 
     code = "R22"
     name = "per-event-linear-scan"
-    model = ScaleModel
+    model = StateModel
+    family = "--scale"
 
-    def check_project(self, model: ScaleModel) -> Iterator[Finding]:
+    def check_project(self, model: StateModel) -> Iterator[Finding]:
         for collection in model.sorted_collections():
             if collection.dimension != POPULATION:
                 continue
@@ -135,9 +132,10 @@ class UnboundedGrowthContainerRule(ProjectRule):
 
     code = "R23"
     name = "unbounded-growth-container"
-    model = ScaleModel
+    model = StateModel
+    family = "--scale"
 
-    def check_project(self, model: ScaleModel) -> Iterator[Finding]:
+    def check_project(self, model: StateModel) -> Iterator[Finding]:
         for collection in model.sorted_collections():
             if collection.dimension != POPULATION or collection.shrinks:
                 continue
@@ -177,9 +175,10 @@ class QuadraticMembershipRule(ProjectRule):
 
     code = "R24"
     name = "quadratic-membership"
-    model = ScaleModel
+    model = StateModel
+    family = "--scale"
 
-    def check_project(self, model: ScaleModel) -> Iterator[Finding]:
+    def check_project(self, model: StateModel) -> Iterator[Finding]:
         for collection in model.sorted_collections():
             if collection.dimension != POPULATION:
                 continue
@@ -206,7 +205,7 @@ class QuadraticMembershipRule(ProjectRule):
                     "%s runs %s() over %s-dimensioned %r inside a loop "
                     "— a full O(n log n) pass per iteration%s; hoist "
                     "it or keep the extremum incrementally"
-                    % (qualname, live[0].how, collection.dimension,
+                    % (qualname, live[0].kind, collection.dimension,
                        collection.label, _extra(len(live))))
 
 
@@ -230,20 +229,21 @@ class PerEventAllocationRule(ProjectRule):
 
     code = "R25"
     name = "per-event-allocation"
-    model = ScaleModel
+    model = StateModel
+    family = "--scale"
 
-    def check_project(self, model: ScaleModel) -> Iterator[Finding]:
-        grouped: Dict[str, List] = {}
+    def check_project(self, model: StateModel) -> Iterator[Finding]:
+        grouped: Dict[str, List[Site]] = {}
         for site in model.kernel_allocs:
             grouped.setdefault(site.function.qualname, []).append(site)
         for qualname in sorted(grouped):
             sites = sorted(grouped[qualname],
-                           key=lambda s: (s.function.module.path,
+                           key=lambda s: (s.module.path,
                                           getattr(s.node, "lineno", 1)))
             first = sites[0]
-            kinds = sorted({site.what for site in sites})
+            kinds = sorted({site.kind for site in sites})
             yield self.finding(
-                first.function.module.path, first.node,
+                first.module.path, first.node,
                 "kernel drain method %s builds a fresh %s inside its "
                 "event loop%s — one allocation per drained event; "
                 "hoist it out of the loop or reuse a scratch object"
@@ -270,21 +270,20 @@ class RebuildInHotPathRule(ProjectRule):
 
     code = "R26"
     name = "rebuild-in-hot-path"
-    model = ScaleModel
+    model = StateModel
+    family = "--scale"
 
-    def check_project(self, model: ScaleModel) -> Iterator[Finding]:
-        sites = sorted(model.rebuild_sites,
-                       key=lambda s: (s.function.module.path,
-                                      getattr(s.node, "lineno", 1)))
-        for site in sites:
-            if site.guarded:
-                continue
+    def check_project(self, model: StateModel) -> Iterator[Finding]:
+        rebuilds = sorted(model.rebuilds,
+                          key=lambda pair: (pair[0].module.path,
+                                            pair[0].node.lineno))
+        for site, target in rebuilds:
             yield self.finding(
-                site.function.module.path, site.node,
+                site.module.path, site.node,
                 "%s rebuilds %r from scratch on every invocation of a "
                 "per-event path (%s) — rebuild at most once per "
                 "invalidation epoch: guard with `if ... is None` or an "
                 "epoch/generation check"
-                % (site.function.qualname, site.target,
+                % (site.function.qualname, target,
                    model.hot.get(site.function.qualname,
                                  "per-event path")))

@@ -1,9 +1,9 @@
-"""Render the shard-affinity model as ``docs/shard-safety.md``.
+"""Render the shard rules' view of the state model as
+``docs/shard-safety.md``.
 
-The inventory is the concrete work-list the sharded-engine refactor
-(ROADMAP item 1) consumes: every process-global mutable and every
-shard-crossing edge in the tree, with file:line provenance and its
-current status.  *Open* findings are ones the ratcheted lint gate
+The inventory lists every process-global mutable, every process-wide
+cache and every shard-crossing edge in the tree, with file:line
+provenance and its current status.  *Open* findings are ones the ratcheted lint gate
 would report; *justified* ones carry a ``# simlint: disable=R..``
 suppression whose trailing prose documents why the coupling is safe.
 
@@ -22,14 +22,20 @@ from repro.analysis.inventory import (
     relpath,
     table,
 )
-from repro.analysis.shard.model import HOST, SHARED, SITE, ShardModel
+from repro.analysis.state import (
+    HOST,
+    SHARED,
+    SITE,
+    StateModel,
+    family_of_module,
+)
 
 __all__ = ["render_inventory"]
 
 
-def render_inventory(model: ShardModel) -> str:
+def render_inventory(model: StateModel) -> str:
     """The complete shard-safety inventory as Markdown text."""
-    findings, verdict = family_findings(model)
+    findings, verdict = family_findings(model, "--shard")
 
     lines: List[str] = [
         "# Shard-safety inventory",
@@ -54,9 +60,9 @@ def render_inventory(model: ShardModel) -> str:
     counts: Dict[str, int] = {HOST: 0, SITE: 0, SHARED: 0}
     writes: Dict[str, int] = {HOST: 0, SITE: 0, SHARED: 0}
     for name in model.project.modules:
-        counts[model.family(name)] += 1
+        counts[family_of_module(name)] += 1
     for qualname, count in model.self_writes.items():
-        writes[model.family(qualname)] += count
+        writes[family_of_module(qualname)] += count
     lines += [
         "## Entity families",
         "",

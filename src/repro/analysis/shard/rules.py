@@ -1,8 +1,9 @@
 """The shard-affinity rules R15–R19 (the ``--shard`` pass).
 
 Where R11–R14 chase host nondeterminism, these five rules chase
-*ownership*: state that the sharded parallel engine (ROADMAP item 1)
-could not partition by site or host without silent coupling.
+*ownership*: state that a world split into per-site or per-host shards
+could not partition without silent coupling, so that a sharded run
+would stop being a pure function of its seed.
 
 * **R15** ``process-global-mutable-state`` — a module- or class-level
   mutable that is actually written at runtime.  Read-only lookup
@@ -33,7 +34,7 @@ could not partition by site or host without silent coupling.
   does not own.
 
 Each is a :class:`~repro.analysis.core.ProjectRule` reading the
-:class:`ShardModel`, registered with :func:`~repro.analysis.core.register`
+:class:`StateModel`, registered with :func:`~repro.analysis.core.register`
 like every other rule and selected by ``--shard``, so suppressions, SARIF
 export and the baseline ratchet apply unchanged.
 """
@@ -51,13 +52,14 @@ from repro.analysis.core import (
     register,
 )
 from repro.analysis.dataflow.symbols import own_nodes
-from repro.analysis.shard.model import (
+from repro.analysis.state import (
     HOST,
+    MUTATOR_METHODS,
     SITE,
     CacheSite,
-    MutableLocation,
-    ShardModel,
-    _MUTATOR_METHODS,
+    Location,
+    StateModel,
+    family_of_module,
 )
 
 __all__ = ["ProcessGlobalMutableStateRule",
@@ -65,7 +67,7 @@ __all__ = ["ProcessGlobalMutableStateRule",
            "NonMergeableAccumulatorRule", "SharedEventQueueEscapeRule"]
 
 
-def _mutation_summary(location: MutableLocation) -> str:
+def _mutation_summary(location: Location) -> str:
     sites = location.mutations
     first = min(sites, key=lambda s: (s.module.path, s.node.lineno))
     extra = "" if len(sites) == 1 \
@@ -90,9 +92,10 @@ class ProcessGlobalMutableStateRule(ProjectRule):
 
     code = "R15"
     name = "process-global-mutable-state"
-    model = ShardModel
+    model = StateModel
+    family = "--shard"
 
-    def check_project(self, model: ShardModel) -> Iterator[Finding]:
+    def check_project(self, model: StateModel) -> Iterator[Finding]:
         for location in model.sorted_locations():
             if not location.mutations or location.is_cache_named:
                 continue  # read-only tables are fine; caches are R17's
@@ -126,12 +129,13 @@ class CrossEntityDirectMutationRule(ProjectRule):
 
     code = "R16"
     name = "cross-entity-direct-mutation"
-    model = ShardModel
+    model = StateModel
+    family = "--shard"
 
-    def check_project(self, model: ShardModel) -> Iterator[Finding]:
+    def check_project(self, model: StateModel) -> Iterator[Finding]:
         for module_name in sorted(model.project.modules):
             module = model.project.modules[module_name]
-            family = model.family(module_name)
+            family = family_of_module(module_name)
             if family not in (HOST, SITE):
                 continue  # shared orchestration may touch anything
             for key in sorted(module.functions):
@@ -139,7 +143,7 @@ class CrossEntityDirectMutationRule(ProjectRule):
                 yield from self._check_function(model, module, family,
                                                 info)
 
-    def _check_function(self, model: ShardModel, module, family,
+    def _check_function(self, model: StateModel, module, family,
                         info) -> Iterator[Finding]:
         foreign = _foreign_params(model, module, family, info)
         if not foreign:
@@ -156,7 +160,7 @@ class CrossEntityDirectMutationRule(ProjectRule):
                         target = candidate
             elif isinstance(node, ast.Call) and \
                     isinstance(node.func, ast.Attribute):
-                if node.func.attr in _MUTATOR_METHODS:
+                if node.func.attr in MUTATOR_METHODS:
                     target = node.func
                     verb = "mutates"
             if target is None:
@@ -174,7 +178,7 @@ class CrossEntityDirectMutationRule(ProjectRule):
                                other_family, other_class, root))
 
 
-def _foreign_params(model: ShardModel, module, family, info):
+def _foreign_params(model: StateModel, module, family, info):
     """Params annotated with a class of the *other* concrete family."""
     foreign = {}
     for param in info.params:
@@ -183,7 +187,7 @@ def _foreign_params(model: ShardModel, module, family, info):
         klass = model.annotated_class(module, info.node, param)
         if klass is None:
             continue
-        other = model.class_family(klass)
+        other = family_of_module(klass.module.name)
         if other in (HOST, SITE) and other != family:
             foreign[param] = (other, klass.name)
     return foreign
@@ -214,9 +218,10 @@ class UnkeyedProcessCacheRule(ProjectRule):
 
     code = "R17"
     name = "unkeyed-process-cache"
-    model = ShardModel
+    model = StateModel
+    family = "--shard"
 
-    def check_project(self, model: ShardModel) -> Iterator[Finding]:
+    def check_project(self, model: StateModel) -> Iterator[Finding]:
         for location in model.sorted_locations():
             if location.mutations and location.is_cache_named:
                 yield self.finding(
@@ -268,9 +273,10 @@ class NonMergeableAccumulatorRule(ProjectRule):
 
     code = "R18"
     name = "non-mergeable-accumulator"
-    model = ShardModel
+    model = StateModel
+    family = "--shard"
 
-    def check_project(self, model: ShardModel) -> Iterator[Finding]:
+    def check_project(self, model: StateModel) -> Iterator[Finding]:
         for qualname in sorted(model.project.classes):
             klass = model.project.classes[qualname]
             intakes = [name for name in _INTAKE_NAMES
@@ -324,12 +330,13 @@ class SharedEventQueueEscapeRule(ProjectRule):
 
     code = "R19"
     name = "shared-event-queue-escape"
-    model = ShardModel
+    model = StateModel
+    family = "--shard"
 
-    def check_project(self, model: ShardModel) -> Iterator[Finding]:
+    def check_project(self, model: StateModel) -> Iterator[Finding]:
         for module_name in sorted(model.project.modules):
             module = model.project.modules[module_name]
-            family = model.family(module_name)
+            family = family_of_module(module_name)
             if family not in (HOST, SITE):
                 continue
             for key in sorted(module.functions):

@@ -11,10 +11,6 @@ Usage::
     python -m repro overlay
     python -m repro migration
     python -m repro all
-    python -m repro analyze [--path SRC ...] [--deep] [--shard]
-                            [--scale] [--shard-inventory FILE]
-                            [--scale-inventory FILE] [--explain RULE]
-                            [--json | --sarif] [--baseline FILE]
     python -m repro sanitize {figure1,table1,table2} [--seed N]
     python -m repro trace {figure1,table1,table2} [--out trace.json]
     python -m repro metrics {figure1,table1,table2} [--json]
@@ -25,14 +21,8 @@ Usage::
     python -m repro profile {figure1,table1,table2} [--seed N] [--top K]
 
 Each experiment command prints the same tables the benchmark harness
-archives; ``analyze`` runs the simlint static-analysis pass (see
-``docs/static_analysis.md``) and exits non-zero on findings —
-``--deep`` adds the interprocedural dataflow rules R11-R14,
-``--shard`` the shard-affinity rules R15-R19 (``--shard-inventory``
-also regenerates ``docs/shard-safety.md``) and ``--scale`` the
-growth-dimension rules R22-R26 (``--scale-inventory`` also regenerates
-``docs/scale-readiness.md``); ``--explain R22`` prints one rule's full
-documentation.
+archives.  The simlint static analysis has its own command line,
+``python -m repro.analysis`` (``docs/static_analysis.md``).
 ``sanitize`` replays a scenario under the simsan runtime determinism
 sanitizer and exits non-zero on hazards or output divergence.  ``trace``
 replays a representative session life cycle for an experiment and
@@ -61,7 +51,8 @@ under the deterministic conservative protocol of
 Its artifacts are byte-identical for any shard count.  Any other
 command rejects ``--shards`` other than 1, and the count arguments
 (``--samples``, ``--workers``, ``--shards``, ``--sites``,
-``--sessions``) must be positive: both are usage errors (exit 2).
+``--sessions``) and table1's ``--scale`` factor must be positive: both
+are usage errors (exit 2).
 """
 
 from __future__ import annotations
@@ -78,8 +69,7 @@ __all__ = ["main"]
 def _cmd_table1(args) -> None:
     from repro.experiments.table1 import run_table1
 
-    scale = float(args.scale) if args.scale is not None else 1.0
-    rows = run_table1(scale=scale, seed=args.seed)
+    rows = run_table1(scale=args.scale, seed=args.seed)
     print(format_table(
         ["Application", "Resource", "User(s)", "Sys(s)", "Total(s)",
          "Overhead"],
@@ -273,31 +263,6 @@ def _cmd_profile(args) -> None:
     stats.sort_stats("cumulative").print_stats(args.top)
 
 
-def _cmd_analyze(args) -> int:
-    from repro.analysis.cli import main as simlint_main
-
-    argv = list(args.path or [])
-    if args.deep:
-        argv.append("--deep")
-    if args.shard:
-        argv.append("--shard")
-    if args.shard_inventory:
-        argv.append("--shard-inventory=%s" % args.shard_inventory)
-    if args.scale is not None:
-        argv.append("--scale")
-    if args.scale_inventory:
-        argv.append("--scale-inventory=%s" % args.scale_inventory)
-    if args.explain:
-        argv.append("--explain=%s" % args.explain)
-    if args.sarif:
-        argv.append("--format=sarif")
-    elif args.json:
-        argv.append("--format=json")
-    if args.baseline:
-        argv.append("--baseline=%s" % args.baseline)
-    return simlint_main(argv)
-
-
 def _cmd_sanitize(args) -> int:
     from repro.analysis.sanitizer import DeterminismSanitizer
     from repro.obs.runner import run_scenario
@@ -329,7 +294,6 @@ _COMMANDS = {
     "ablations": _cmd_ablations,
     "overlay": _cmd_overlay,
     "migration": _cmd_migration,
-    "analyze": _cmd_analyze,
     "sanitize": _cmd_sanitize,
     "trace": _cmd_trace,
     "metrics": _cmd_metrics,
@@ -348,6 +312,18 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(
             "must be a positive integer, got %d" % value)
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for a scale factor: a number greater than 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid float value: %r" % text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            "must be a positive number, got %s" % text)
     return value
 
 
@@ -382,38 +358,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="trace: output file "
                              "(default <target>-trace.json); "
                              "fleet: merged flight-record JSONL path")
-    parser.add_argument("--scale", nargs="?", const="1", default=None,
+    parser.add_argument("--scale", type=_positive_float, default=1.0,
                         metavar="FACTOR",
                         help="table1: application scale factor "
-                             "(default 1.0); analyze: add the "
-                             "growth-dimension pass (rules R22-R26)")
-    parser.add_argument("--scale-inventory", default=None, metavar="FILE",
-                        help="analyze: regenerate the scale-readiness "
-                             "inventory at FILE (implies --scale)")
-    parser.add_argument("--explain", default=None, metavar="RULE",
-                        help="analyze: print one rule's documentation "
-                             "(e.g. --explain R22) and exit")
+                             "(default 1.0)")
     parser.add_argument("--samples", type=_positive_int, default=None,
                         help="table2/figure1: sample count")
-    parser.add_argument("--path", action="append", default=None,
-                        help="analyze: file/directory to lint (repeatable; "
-                             "default: the installed repro package)")
     parser.add_argument("--json", action="store_true",
-                        help="analyze: emit findings as JSON")
-    parser.add_argument("--deep", action="store_true",
-                        help="analyze: add the interprocedural pass "
-                             "(rules R11-R14)")
-    parser.add_argument("--shard", action="store_true",
-                        help="analyze: add the shard-affinity pass "
-                             "(rules R15-R19)")
-    parser.add_argument("--shard-inventory", default=None, metavar="FILE",
-                        help="analyze: regenerate the shard-safety "
-                             "inventory at FILE (implies --shard)")
-    parser.add_argument("--sarif", action="store_true",
-                        help="analyze: emit findings as SARIF 2.1.0")
-    parser.add_argument("--baseline", default=None, metavar="FILE",
-                        help="analyze: report only findings not in this "
-                             "baseline file")
+                        help="metrics: emit the registry as JSON")
     parser.add_argument("--top", type=int, default=25,
                         help="profile: how many functions to print "
                              "(default 25)")

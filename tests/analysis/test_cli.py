@@ -178,13 +178,31 @@ def test_module_entrypoint(violations_file):
     assert "R1" in result.stdout
 
 
-def test_main_cli_analyze_subcommand(violations_file, capsys):
-    from repro.cli import main as repro_main
+def test_suppression_text_inside_strings_suppresses_nothing(tmp_path,
+                                                             capsys):
+    # Only comments suppress: the same words in a string literal, on a
+    # code line or as a line of a triple-quoted string, are data.
+    path = tmp_path / "strings.py"
+    path.write_text(
+        'import random\n'
+        'import time\n'
+        '\n'
+        'x = random.random(); s = "# simlint: disable=R1"\n'
+        'doc = """\n'
+        '# simlint: disable-file=R2\n'
+        '"""\n'
+        'stamp = time.time()\n')
+    assert main([str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "R1[" in out and "R2[" in out
 
-    assert repro_main(["analyze", "--path", violations_file]) == 1
+
+def test_main_flags_violations_and_passes_the_analysis_package(
+        violations_file, capsys):
+    assert main([violations_file]) == 1
     assert "R4" in capsys.readouterr().out
 
     clean_dir = os.path.join(
         os.path.dirname(os.path.abspath(repro.__file__)), "analysis")
-    assert repro_main(["analyze", "--path", clean_dir, "--json"]) == 0
+    assert main([clean_dir, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["count"] == 0

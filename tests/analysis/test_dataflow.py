@@ -64,6 +64,26 @@ class TestSymbols:
         model = project.modules["taintpkg.model"]
         assert project.expand(model, "jitter") == "taintpkg.clock.jitter"
 
+    def test_same_named_files_keep_their_own_modules(self, tmp_path):
+        # ``a.py`` atop two directories without ``__init__.py`` derive
+        # the same dotted name; each must stay its own module, so the
+        # deep rules see both wall-clock timeouts.
+        source = ("import time\n\n\ndef proc(sim):\n"
+                  "    yield sim.timeout(time.time())\n")
+        dirs = []
+        for name in ("d1", "d2"):
+            directory = tmp_path / name
+            directory.mkdir()
+            (directory / "a.py").write_text(source)
+            dirs.append(str(directory))
+        project = build_project(dirs)
+        assert sorted(module.path for module in
+                      project.modules.values()) == \
+            [os.path.join(d, "a.py") for d in dirs]
+        findings = [f for f in deep_findings(dirs) if f.code == "R11"]
+        assert sorted(f.path for f in findings) == \
+            [os.path.join(d, "a.py") for d in dirs]
+
     def test_syntax_error_becomes_parse_error(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text("def broken(:\n")

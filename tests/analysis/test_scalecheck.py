@@ -9,15 +9,15 @@ import repro
 from repro.analysis import analyze_paths, default_rules
 from repro.analysis.cli import main as simlint_main
 from repro.analysis.sarif import render_sarif
-from repro.analysis.scale import (
+from repro.analysis.scale.inventory import render_inventory
+from repro.analysis.state import (
     BOUNDED,
     PER_HOST,
     PER_SITE,
     POPULATION,
-    build_scale_model,
+    build_state_model,
     dim_order,
 )
-from repro.analysis.scale.inventory import render_inventory
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "fixtures", "scalepkg")
@@ -30,7 +30,7 @@ def scale_family():
 
 @pytest.fixture(scope="module")
 def fixture_model():
-    return build_scale_model([FIXTURE])
+    return build_state_model([FIXTURE])
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +48,7 @@ def _lines(findings, code, filename):
 
 
 def _collection(model, owner, name):
-    return model.collections[(owner, name)]
+    return model.locations[(owner, name)]
 
 
 # -- the lattice -----------------------------------------------------------
@@ -93,29 +93,29 @@ class TestModel:
 
     def test_bounded_deque_ring_is_not_tracked(self, fixture_model):
         assert ("scalepkg.registry.Window",
-                "recent_sessions") not in fixture_model.collections
+                "recent_sessions") not in fixture_model.locations
 
     def test_swap_drain_reinit_counts_as_shrink(self, fixture_model):
         coll = _collection(fixture_model,
                            "scalepkg.sessions.Frontend", "batch")
-        assert [s.how for s in coll.shrinks] == ["reset"]
+        assert [s.kind for s in coll.shrinks] == ["reset"]
 
     def test_full_slice_store_counts_as_prune(self, fixture_model):
         coll = _collection(fixture_model,
                            "scalepkg.sessions.Frontend", "finished")
-        assert "prune" in [s.how for s in coll.shrinks]
+        assert "prune" in [s.kind for s in coll.shrinks]
 
     def test_eviction_in_nested_def_is_seen(self, fixture_model):
         coll = _collection(fixture_model,
                            "scalepkg.registry.Spool", "pending_jobs")
-        assert [s.how for s in coll.shrinks] == ["pop"]
+        assert [s.kind for s in coll.shrinks] == ["pop"]
         assert coll.shrinks[0].function.name == "fetch"
 
     def test_heap_push_and_pop_are_grow_and_shrink(self, fixture_model):
         coll = _collection(fixture_model,
                            "scalepkg.kernel.Simulation", "_queue")
-        assert [s.how for s in coll.grows] == ["heappush"]
-        assert [s.how for s in coll.shrinks] == ["heappop"]
+        assert [s.kind for s in coll.grows] == ["heappush"]
+        assert [s.kind for s in coll.shrinks] == ["heappop"]
         assert coll.dimension == BOUNDED
 
     def test_generators_and_drains_seed_the_hot_set(self, fixture_model):
@@ -231,7 +231,7 @@ class TestInventory:
         if not os.path.exists(committed):
             pytest.skip("inventory not generated yet")
         monkeypatch.chdir(repo_root)
-        model = build_scale_model([os.path.join(repo_root, "src",
+        model = build_state_model([os.path.join(repo_root, "src",
                                                 "repro")])
         rendered = render_inventory(model)
         with open(committed, encoding="utf-8") as handle:

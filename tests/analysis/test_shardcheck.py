@@ -9,12 +9,16 @@ import repro
 from repro.analysis import analyze_paths, default_rules
 from repro.analysis.cli import main as simlint_main
 from repro.analysis.sarif import render_sarif
-from repro.analysis.shard import (
-    build_shard_model,
+from repro.analysis.shard.inventory import render_inventory
+from repro.analysis.state import (
+    GLOBAL,
+    HOST,
+    LOCAL,
+    SHARED,
+    SITE,
+    build_state_model,
     family_of_module,
 )
-from repro.analysis.shard.inventory import render_inventory
-from repro.analysis.shard.model import GLOBAL, HOST, LOCAL, SHARED, SITE
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "fixtures", "shardpkg")
@@ -27,7 +31,7 @@ def shard_family():
 
 @pytest.fixture(scope="module")
 def fixture_model():
-    return build_shard_model([FIXTURE])
+    return build_state_model([FIXTURE])
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +79,7 @@ class TestModel:
     def test_mutated_module_global_is_process_global(self, fixture_model):
         loc = fixture_model.locations[("shardpkg.stats", "_LIVE_WORLDS")]
         assert loc.affinity == GLOBAL
-        assert [m.how for m in loc.mutations] == ["method-call"]
+        assert [m.kind for m in loc.mutations] == ["append"]
 
     def test_read_only_table_stays_local(self, fixture_model):
         loc = fixture_model.locations[("shardpkg.stats", "_UNITS")]
@@ -92,7 +96,7 @@ class TestModel:
         loc = fixture_model.locations[("shardpkg.stats",
                                        "RunningTotal._ids")]
         assert loc.kind == "counter"
-        assert [m.how for m in loc.mutations] == ["next"]
+        assert [m.kind for m in loc.mutations] == ["next"]
 
     def test_cache_sites_with_bounds_and_frozen(self, fixture_model):
         sites = {s.function.qualname: s for s in fixture_model.cache_sites
@@ -200,7 +204,7 @@ class TestInventory:
         if not os.path.exists(committed):
             pytest.skip("inventory not generated yet")
         monkeypatch.chdir(repo_root)
-        model = build_shard_model([os.path.join(repo_root, "src",
+        model = build_state_model([os.path.join(repo_root, "src",
                                                 "repro")])
         rendered = render_inventory(model)
         with open(committed, encoding="utf-8") as handle:

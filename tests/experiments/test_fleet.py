@@ -122,10 +122,12 @@ def test_cli_fleet_output_identical_across_shards(tmp_path, capsys):
     ["table2", "--samples", "2", "--shards", "4"],
     ["record", "table2", "--shards", "3"],
     ["table1", "--shard-model", "host"],
+    ["table1", "--scale", "abc"],
+    ["table1", "--scale", "-1"],
 ], ids=lambda argv: " ".join(argv))
 def test_cli_usage_errors_exit_2(argv, capsys):
-    """Bad counts, --shards outside fleet and unknown options such as
-    --shard-model are usage errors: exit 2 and one ``error:`` line,
+    """Bad counts or scale factors, --shards outside fleet and unknown
+    options such as --shard-model are usage errors: exit 2 and one ``error:`` line,
     never a traceback."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
