@@ -2,7 +2,10 @@
 
 Each artifact's stdout is compared, and so are the files written by
 ``repro trace`` (Chrome trace JSON) and ``repro record`` (flight-record
-JSONL) for ``table1``, ``table2`` and ``figure1``.
+JSONL) for ``table1``, ``table2`` and ``figure1``, and the stdout of
+``repro report`` and ``repro metrics``.  The report's Utilization table
+is the only CLI output built from the CPU's ``utilization`` and
+``run_queue`` monitors.
 
 The goldens under ``benchmarks/goldens/`` are the behaviour contract:
 a change to the model layer that moves any printed digit fails here.
@@ -31,6 +34,18 @@ def _golden(name: str) -> bytes:
 def test_stdout_matches_golden(artifact, capsys):
     assert main([artifact, "--seed", "42"]) == 0
     golden = _golden("%s-seed42.txt" % artifact).decode("utf-8")
+    assert capsys.readouterr().out == golden
+
+
+@pytest.mark.parametrize("command, target", [
+    ("report", "figure1"),
+    ("report", "table2"),
+    ("metrics", "table1"),
+    ("metrics", "table2"),
+])
+def test_observability_stdout_matches_golden(command, target, capsys):
+    assert main([command, target, "--seed", "42"]) == 0
+    golden = _golden("%s-%s-seed42.txt" % (command, target)).decode("utf-8")
     assert capsys.readouterr().out == golden
 
 
