@@ -2,13 +2,22 @@
 
 Rather than simulating every scheduler quantum as a discrete event (which
 would make hour-long SPEC runs intractable), the CPU advances all runnable
-tasks fluidly between *membership changes*: whenever a task arrives,
-finishes, is cancelled, or has its parameters changed, the model
+tasks fluidly between *membership changes*.  Whenever a task arrives,
+finishes, is cancelled, or has its parameters changed, the model at once
 
 1. charges every active task for the work it received since the last
-   change (``remaining -= elapsed * rate``),
-2. recomputes each task's service rate from the new task population, and
-3. schedules a single event at the earliest projected completion.
+   change (``remaining -= elapsed * rate``), and
+2. completes every task whose work has run out.
+
+Everything that depends only on the population the instant ends with is
+paid once per instant, from the kernel's end-of-instant hook
+(:meth:`~repro.simulation.kernel.Simulation.at_instant_end`), however
+many changes the instant held:
+
+3. each task's service rate is looked up for the new population,
+4. the ``utilization`` and ``run_queue`` monitors take one sample, and
+5. one completion timer is armed at the earliest projected completion
+   (a timer armed earlier and since superseded fires as a no-op).
 
 Scheduling is two-level, which is exactly what a classic VMM needs: a
 :class:`TaskGroup` represents one virtual machine monitor process — the
@@ -44,7 +53,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.simulation.kernel import Event, Simulation, SimulationError
+from repro.simulation.kernel import (Event, Simulation, SimulationError,
+                                     Timeout)
 from repro.simulation.monitor import TimeSeriesMonitor
 
 __all__ = ["CpuTask", "TaskGroup", "ProcessorSharingCpu"]
@@ -225,7 +235,11 @@ class ProcessorSharingCpu:
         # population.
         self._active: Dict[CpuTask, None] = {}
         self._last_update = sim.now
-        self._completion_generation = 0
+        #: The live completion timer; a fired timer that is not this one
+        #: was superseded and does nothing.
+        self._timer: Optional[Timeout] = None
+        # Bound once: the kernel keys pending end-of-instant calls by it.
+        self._settle_cb = self._settle
         #: CPU-level half of the population signature (immutable).
         self._param_sig = (self.cores, self.speed, self.quantum,
                            self.context_switch_cost)
@@ -240,15 +254,14 @@ class ProcessorSharingCpu:
             sim.model_cache("cpu.sched_epochs")
         #: Memoized (singles, groups, share_vals, rate_vals, share_sum,
         #: items, order) for the current task population; ``None`` after
-        #: any membership or parameter change.  One membership change
-        #: previously recomputed shares about five times (``_advance`` +
-        #: ``_reschedule`` + the ``_rates``/``_shares``/``_population``
-        #: call chains).
+        #: any membership or parameter change.  ``_advance``,
+        #: ``_settle`` and ``current_rate`` all read this one copy.
         self._sched_cache: Optional[Tuple] = None
-        #: Fraction of total capacity in use, sampled at membership changes.
+        #: Fraction of total capacity in use, sampled once at the end of
+        #: every instant with a membership change.
         self.utilization = TimeSeriesMonitor(name + ".utilization",
                                              window=MONITOR_WINDOW)
-        #: Number of host-schedulable entities, sampled at changes.
+        #: Number of host-schedulable entities, sampled likewise.
         self.run_queue = TimeSeriesMonitor(name + ".runqueue",
                                            window=MONITOR_WINDOW)
 
@@ -274,8 +287,8 @@ class ProcessorSharingCpu:
             task.done.succeed(task)
         else:
             self._active[task] = None
-            self._invalidate()
-        self._reschedule()
+            self._sched_cache = None
+        self._complete_finished()
         return task.done
 
     def run(self, task: CpuTask):
@@ -293,8 +306,8 @@ class ProcessorSharingCpu:
         if task not in self._active:
             raise SimulationError("task %s is not active" % task.name)
         del self._active[task]
-        self._invalidate()
-        self._reschedule()
+        self._sched_cache = None
+        self._complete_finished()
         return task.remaining
 
     def update_task(self, task: CpuTask, rate_factor: Optional[float] = None,
@@ -319,8 +332,8 @@ class ProcessorSharingCpu:
             task.weight = weight
         task._sig = (task.weight, task.max_rate, task.rate_factor,
                      task.extra_switch_cost)
-        self._invalidate()
-        self._reschedule()
+        self._sched_cache = None
+        self._complete_finished()
 
     def update_group(self, group: TaskGroup,
                      max_rate: Optional[float] = None,
@@ -344,8 +357,12 @@ class ProcessorSharingCpu:
         group._sig = (group.vcpus, group.weight, group.max_rate,
                       group.extra_switch_cost, group.member_switch_cost,
                       group.member_quantum)
-        self._invalidate()
-        self._reschedule()
+        self._sched_cache = None
+        self._complete_finished()
+
+    def group_tasks(self, group: TaskGroup) -> List[CpuTask]:
+        """The group's active tasks, in arrival order (a snapshot)."""
+        return list(self._sched_state()[1].get(group, ()))
 
     def current_rate(self, task: CpuTask) -> float:
         """The task's instantaneous service rate in native CPU-seconds/s."""
@@ -359,19 +376,17 @@ class ProcessorSharingCpu:
         experiment harnesses).
         """
         self._advance()
-        self._reschedule()
+        self._complete_finished()
 
     # -- internals ----------------------------------------------------------
-
-    def _invalidate(self) -> None:
-        self._sched_cache = None
 
     def _sched_state(self) -> Tuple:
         """(singles, groups, share_vals, rate_vals, share_sum, items,
         order), per epoch.
 
         Valid until the next membership/parameter change; every mutator
-        calls :meth:`_invalidate` after touching scheduling state.
+        clears ``_sched_cache`` after touching scheduling state, and the
+        hot callers read the cache before calling this.
         ``order`` is the canonical task ordering (singles, then group
         members); ``share_vals``/``rate_vals`` are positional over it;
         ``share_sum`` is their total and ``items`` binds
@@ -433,11 +448,6 @@ class ProcessorSharingCpu:
                                          rate_vals, share_sum, items,
                                          order)
         return state
-
-    def _population(self) -> Tuple[List[CpuTask],
-                                   Dict[TaskGroup, List[CpuTask]]]:
-        state = self._sched_state()
-        return state[0], state[1]
 
     def _shares(self) -> Dict[CpuTask, float]:
         state = self._sched_state()
@@ -515,7 +525,7 @@ class ProcessorSharingCpu:
         now = self.sim.now
         elapsed = now - self._last_update
         if elapsed > 0 and self._active:
-            items = self._sched_state()[5]
+            items = (self._sched_cache or self._sched_state())[5]
             speed = self.speed
             for task, rate, share in items:
                 task.remaining = max(0.0,
@@ -527,41 +537,71 @@ class ProcessorSharingCpu:
                     group.cpu_consumed += consumed
         self._last_update = now
 
-    def _reschedule(self) -> None:
-        """Complete finished tasks and arm the next completion timer."""
-        now = self.sim.now
-        finished = [t for t in self._active if t.remaining <= _WORK_EPSILON]  # simlint: disable=R22  completion sweep over the per-host runnable set; see _sched_state
-        for task in finished:
-            del self._active[task]
-            task.remaining = 0.0
-            task.finished_at = now
-            task.done.succeed(task)
-        if finished:
-            self._invalidate()
-        state = self._sched_state()
-        singles, groups = state[0], state[1]
-        share_sum, items = state[4], state[5]
-        self.utilization.record(
-            now, share_sum / self.cores if self._active else 0.0)
-        self.run_queue.record(now, float(len(singles) + len(groups)))
+    def _complete_finished(self) -> None:
+        """Complete the tasks whose work has run out; settle at instant end.
 
-        self._completion_generation += 1
-        generation = self._completion_generation
+        Runs after every change, straight after :meth:`_advance`, so a
+        completion fires at the instant its work ran out and in the
+        order the tasks arrived.
+        """
+        finished = [t for t in self._active if t.remaining <= _WORK_EPSILON]  # simlint: disable=R22  completion sweep over the per-host runnable set; see _sched_state
+        if finished:
+            now = self.sim.now
+            for task in finished:
+                del self._active[task]
+                task.remaining = 0.0
+                task.finished_at = now
+                task.done.succeed(task)
+            self._sched_cache = None
+        self.sim.at_instant_end(self._settle_cb)
+
+    def _settle(self) -> None:
+        """End of an instant with changes: sample, then arm one timer.
+
+        Each monitor gets one sample per instant, appended inline with
+        :meth:`TimeSeriesMonitor.record`'s window rule (this runs once
+        per instant on the busiest path of the CPU-bound artifacts).  If
+        the CPU changes again after settling in the same instant (a
+        zero-delay timer, or work resumed after
+        :meth:`~repro.simulation.kernel.Simulation.run_until_complete`
+        returned), the second settle overwrites the instant's sample,
+        found through the monitors' non-decreasing time order: an
+        appended sample would only add a zero-width segment, which every
+        time-weighted average skips.
+        """
+        now = self.sim.now
+        state = self._sched_cache or self._sched_state()
+        share_sum, items = state[4], state[5]
+        for monitor, value in (
+                (self.utilization,
+                 share_sum / self.cores if self._active else 0.0),
+                (self.run_queue, float(len(state[0]) + len(state[1])))):
+            times = monitor.times
+            if times and times[-1] >= now:
+                monitor.values[-1] = value
+                continue
+            if monitor._origin_time is None:
+                monitor._origin_time = now
+            times.append(now)
+            monitor.values.append(value)
+            if len(times) > 1 and times[1] <= now - monitor.window:
+                monitor._trim()
+
         horizon = math.inf
         for task, rate, _share in items:
             if rate > 0:
                 horizon = min(horizon, task.remaining / rate)
         if horizon is math.inf:
+            self._timer = None
             return
+        timer = self._timer = Timeout(self.sim, max(horizon, 0.0))
+        timer.callbacks.append(self._on_timer)
 
-        def fire(event, generation=generation):
-            if generation != self._completion_generation:
-                return  # superseded by a later membership change
+    def _on_timer(self, event: Event) -> None:
+        """A completion timer fired: advance and complete, unless superseded."""
+        if event is self._timer:
             self._advance()
-            self._reschedule()
-
-        timer = self.sim.timeout(max(horizon, 0.0))
-        timer.callbacks.append(fire)
+            self._complete_finished()
 
     def __repr__(self) -> str:
         return "<ProcessorSharingCpu %s cores=%d active=%d>" % (

@@ -13,7 +13,9 @@ keeps the kernel small, easy to audit, and fast:
 * timeouts,
 * processes (which are themselves events that fire on termination),
 * process interruption (used to model preemption and VM suspend),
-* ``all_of`` / ``any_of`` composite conditions.
+* ``all_of`` / ``any_of`` composite conditions,
+* an end-of-instant hook (:meth:`Simulation.at_instant_end`), through
+  which a model that many events touch in one instant settles once.
 """
 
 from __future__ import annotations
@@ -384,6 +386,17 @@ class Simulation:
     always sorted by the same ``(when, priority, id)`` key the heap
     uses, so merging the two heads reproduces the single-heap firing
     order exactly while the hot path pays O(1) instead of O(log n).
+
+    An *instant* is every event at one clock value.  Callbacks passed to
+    :meth:`at_instant_end` run when the current instant has no event
+    left, before the clock moves on or the loop returns: a pending call
+    behaves as one more event at ``now``, after all the others (so
+    :meth:`peek` reports ``now`` and :meth:`step` processes it as one
+    step).  An event such a callback schedules at ``now`` is processed
+    in the same instant, and any callback it registers runs after it.
+    The processor-sharing CPU uses this to sample its monitors and arm
+    its completion timer once per instant, however many submits,
+    cancels and completions the instant holds.
     """
 
     _PRIORITY_URGENT = 0   # interrupts
@@ -398,6 +411,8 @@ class Simulation:
         self._immediate: Deque[Tuple[float, int, int, Event]] = deque()
         self._next_id = 0
         self._active_process: Optional[Process] = None
+        #: Callbacks due at the end of the current instant, in order.
+        self._instant_end: Dict[Callable[[], None], None] = {}
         self._streams = None
         # ``metrics`` lets the owner install a pre-configured registry
         # (e.g. a partition-keyed one for a shard kernel) before any
@@ -504,6 +519,27 @@ class Simulation:
         self._enqueue_event(event, delay=when - self.now)
         return event
 
+    def at_instant_end(self, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` once the current instant has no event left.
+
+        The call happens before the clock advances, before
+        :meth:`run` returns and before :meth:`run_until_complete`
+        returns or reports a deadlock.  Registering a callback that is
+        already pending moves it behind the others, so pending callbacks
+        run in the order of their latest registration.
+        """
+        pending = self._instant_end
+        if callback in pending:
+            del pending[callback]
+        pending[callback] = None
+
+    def _end_instant(self) -> None:
+        """Run the callbacks registered for the end of this instant."""
+        pending = list(self._instant_end)
+        self._instant_end.clear()
+        for callback in pending:
+            callback()
+
     @property
     def active_process(self) -> Optional[Process]:
         """The process currently being resumed, if any."""
@@ -523,7 +559,12 @@ class Simulation:
             self.trace.on_event_scheduled(self, event, when, priority)
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none remain."""
+        """Time of the next scheduled event, or ``inf`` if none remain.
+
+        ``now`` while an end-of-instant call is pending.
+        """
+        if self._instant_end:
+            return self.now
         if self._immediate:
             if self._queue and self._queue[0] < self._immediate[0]:
                 return self._queue[0][0]
@@ -543,7 +584,15 @@ class Simulation:
         raise SimulationError("no events to step")
 
     def step(self) -> None:
-        """Process the single next event (advancing the clock to it)."""
+        """Process the single next event (advancing the clock to it).
+
+        When only events at a later time (or none) remain, the pending
+        end-of-instant calls are the next event: the step runs them.
+        """
+        if self._instant_end and not self._immediate and (
+                not self._queue or self._queue[0][0] > self.now):
+            self._end_instant()
+            return
         when, _priority, _eid, event = self._pop_next()
         if self._tracing:
             if when > self.now:
@@ -566,18 +615,20 @@ class Simulation:
         """
         queue = self._queue
         immediate = self._immediate
+        instant_end = self._instant_end
         tracing = self._tracing
         trace = self.trace
         while True:
             if immediate:
+                # Immediate entries sit at sim.now, and the heap head is
+                # no later, so neither advances the clock.
                 if queue and queue[0] < immediate[0]:
-                    if until is not None and queue[0][0] > until:
-                        break
                     entry = heappop(queue)
                 else:
-                    # Immediate entries sit at (a past) sim.now, which a
-                    # bounded run's precondition keeps <= until.
                     entry = immediate.popleft()
+            elif instant_end and (not queue or queue[0][0] > self.now):
+                self._end_instant()
+                continue
             elif queue:
                 if until is not None and queue[0][0] > until:
                     break
@@ -608,7 +659,7 @@ class Simulation:
         if type(self) is Simulation:
             self._run_fast(until)
         else:
-            while self._queue or self._immediate:
+            while self._queue or self._immediate or self._instant_end:
                 if until is not None and self.peek() > until:
                     break
                 self.step()
@@ -616,10 +667,15 @@ class Simulation:
             self.now = max(self.now, until)
 
     def run_until_complete(self, process: Process) -> Any:
-        """Run until ``process`` terminates and return (or raise) its value."""
+        """Run until ``process`` terminates and return (or raise) its value.
+
+        The end-of-instant calls pending when the process terminates run
+        before this returns, so the caller reads settled model state.
+        """
         if type(self) is Simulation:
             queue = self._queue
             immediate = self._immediate
+            instant_end = self._instant_end
             tracing = self._tracing
             trace = self.trace
             while process._value is _PENDING:
@@ -628,6 +684,9 @@ class Simulation:
                         entry = heappop(queue)
                     else:
                         entry = immediate.popleft()
+                elif instant_end and (not queue or queue[0][0] > self.now):
+                    self._end_instant()
+                    continue
                 elif queue:
                     entry = heappop(queue)
                 else:
@@ -646,11 +705,14 @@ class Simulation:
                     raise event._value
         else:
             while process.is_alive:
-                if not self._queue and not self._immediate:
+                if not (self._queue or self._immediate
+                        or self._instant_end):
                     raise SimulationError(
                         "deadlock: %s is waiting but no events remain"
                         % process)
                 self.step()
+        if self._instant_end:
+            self._end_instant()
         # The caller consumes the outcome here, so the process's own
         # termination event (possibly still queued) must not escalate.
         process._defused = True

@@ -25,7 +25,7 @@ from repro.simulation.kernel import SimulationError
 from repro.storage.transfer import FileStager
 from repro.vmm.disk_image import DiskImage
 from repro.vmm.monitor import VirtualMachineMonitor
-from repro.vmm.virtual_machine import VirtualMachine, VmState
+from repro.vmm.virtual_machine import VirtualMachine, VmCrashed, VmState
 
 __all__ = ["migrate"]
 
@@ -91,6 +91,12 @@ def migrate(vm: VirtualMachine, dest_vmm: VirtualMachineMonitor,
                            sequential=True)
 
     # 6. Land: rebinding wakes in-flight computations onto the new CPU.
+    # A guest that crashed in flight stays dead: its state files are
+    # staged, but no VMM takes it in.
+    if vm.state is not VmState.MIGRATING:
+        sim.trace.end(span)
+        raise VmCrashed("%s crashed while migrating to %s"
+                        % (vm.name, dst_host))
     source_vmm._evict(vm)
     dest_vmm._admit(vm)
     vm.land_on(dest_vmm)

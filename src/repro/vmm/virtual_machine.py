@@ -25,7 +25,7 @@ from repro.guestos.interface import MachineInterface
 from repro.guestos.kernel import OperatingSystem
 from repro.guestos.profile import GuestOsProfile
 from repro.hardware.cpu import CpuTask, TaskGroup
-from repro.simulation.kernel import Event, Interrupt, SimulationError
+from repro.simulation.kernel import Interrupt, Process, SimulationError
 from repro.storage.localfs import LocalFileSystem
 from repro.vmm.costs import VmmCosts
 from repro.vmm.disk_image import VirtualDisk
@@ -106,15 +106,13 @@ class VirtualMachine(MachineInterface):
         self.guest_os.install()
         #: Network identity assigned by DHCP or a tunnel (middleware).
         self.address: Optional[str] = None
-        #: Fires (and is replaced) whenever the VM lands on a new host.
-        self._rebind_event: Event = Event(self.sim)
         #: Accumulated sys time charged by restores/migrations, drained
         #: into the next process accounting.
         self._pending_sys = 0.0
         #: Processes currently executing guest compute (crash targets).
         #: Dict-as-ordered-set: crash() interrupts them in submission
         #: order, keeping the event queue reproducible.
-        self._computations: Dict = {}
+        self._computations: Dict[Process, None] = {}
 
     # -- MachineInterface -------------------------------------------------------
 
@@ -138,8 +136,11 @@ class VirtualMachine(MachineInterface):
         Observed user time grows with the guest's page-fault and timer
         rates; observed sys time grows by the privileged-instruction
         dilation factor plus per-syscall trap costs.  The combined demand
-        runs on the host CPU inside the VM's task group; if the VM
-        migrates mid-computation the remaining work moves with it.
+        runs on the host CPU inside the VM's task group, and the calling
+        process waits on the task itself.  If the VM migrates
+        mid-computation, :meth:`land_on` takes the task off the old CPU
+        and wakes the process, which resubmits the remaining work on
+        the new host's CPU.
         """
         if self.state not in (VmState.RUNNING, VmState.STARTING,
                               VmState.MIGRATING, VmState.SUSPENDED):
@@ -166,11 +167,8 @@ class VirtualMachine(MachineInterface):
                 cpu = self.host_cpu
                 task = CpuTask("%s@%s" % (pname, self.name),
                                work=remaining, group=self.group)
-                cpu.submit(task)
-                rebind = self._rebind_event
-                wait = self.sim.any_of([task.done, rebind])
                 try:
-                    yield wait
+                    yield cpu.submit(task)
                 except Interrupt as interrupt:
                     if not task.done.triggered:
                         cpu.cancel(task)
@@ -178,16 +176,9 @@ class VirtualMachine(MachineInterface):
                         raise VmCrashed("%s crashed while running %s"
                                         % (self.name, pname))
                     raise
-                finally:
-                    # The rebind event fires only on migration; left on
-                    # it, each finished wait would pin its task until then.
-                    if rebind.callbacks is not None:
-                        rebind.callbacks.remove(wait._check)
-                if task.done.triggered:
-                    remaining = 0.0
-                else:
-                    # Migration landed mid-flight: carry the work along.
-                    remaining = cpu.cancel(task)
+                # A task land_on() moved never finished: carry its work.
+                remaining = 0.0 if task.finished_at is not None \
+                    else task.remaining
         finally:
             if me is not None:
                 self._computations.pop(me, None)
@@ -251,13 +242,16 @@ class VirtualMachine(MachineInterface):
     def land_on(self, new_vmm) -> None:
         """Finish a migration: rebind to the destination host.
 
-        In-flight guest computations observe the rebind event, cancel
-        their tasks on the old CPU and resubmit on the new one.
+        The old CPU holds every in-flight guest computation as a member
+        of the VM's task group.  Each such task is cancelled there,
+        keeping its remaining work, and its ``done`` event fires so the
+        waiting process resubmits that work on the new host's CPU.
         """
+        old_cpu = self.host_cpu
         self.vmm = new_vmm
-        old_event = self._rebind_event
-        self._rebind_event = Event(self.sim)
-        old_event.succeed(new_vmm)
+        for task in old_cpu.group_tasks(self.group):
+            old_cpu.cancel(task)
+            task.done.succeed(task)
 
     def state_summary(self) -> dict:
         """Everything a grid information service would advertise."""

@@ -257,6 +257,28 @@ def test_utilization_monitor_tracks_busy_and_idle():
     assert cpu.utilization.last_value == pytest.approx(0.0)
 
 
+def test_second_settle_in_an_instant_overwrites_its_sample():
+    """run_until_complete settles the instant it returns in; work
+    submitted afterwards at the same time settles again, and the
+    monitors keep one sample for the instant, holding its final value."""
+    sim = Simulation()
+    cpu = make_cpu(sim, cores=2)
+
+    def first(sim):
+        yield cpu.submit(CpuTask("a", work=1.0))
+
+    sim.run_until_complete(sim.spawn(first(sim)))
+    assert cpu.utilization.times[-1] == 1.0
+    assert cpu.utilization.last_value == 0.0
+    cpu.submit(CpuTask("b", work=1.0))
+    sim.run()
+    for monitor in (cpu.utilization, cpu.run_queue):
+        assert monitor.times == [0.0, 1.0, 2.0]
+    assert cpu.utilization.values == [0.5, 0.5, 0.0]
+    assert cpu.run_queue.values == [1.0, 1.0, 0.0]
+    assert cpu.utilization.time_average() == pytest.approx(0.5)
+
+
 def test_invalid_parameters_rejected():
     sim = Simulation()
     with pytest.raises(SimulationError):

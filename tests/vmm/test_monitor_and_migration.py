@@ -250,3 +250,48 @@ def test_migration_preserves_guest_mounts():
     vm.guest_os.mount("/remote-data", marker)
     run(sim, migrate(vm, vmm2, stager, image2))
     assert vm.guest_os.mounts["/remote-data"] is marker
+
+
+def test_migration_mid_compute_conserves_remaining_work():
+    """Hand-worked: the VM's task runs alone at 1.0 CPU-s/s on the
+    source for 2 s, then lands on a host twice as fast.  The remaining
+    ``demand - 2`` CPU-seconds finish there in ``(demand - 2) / 2`` s."""
+    from repro.hardware import MachineSpec, PhysicalMachine
+    from repro.guestos.interface import PhysicalHost
+    from repro.workloads.applications import KernelEventRates
+
+    sim = Simulation()
+    vmm1, image1, vm = vm_rig(sim)
+    fast = PhysicalMachine(sim, "fast", spec=MachineSpec(cpu_speed=2.0))
+    vmm2 = VirtualMachineMonitor(PhysicalHost(fast, cache_bytes=64 * 2 ** 20))
+    run(sim, vmm1.power_on(vm, mode="boot"))
+    start = sim.now
+    consumed_before = vm.group.cpu_consumed
+    proc = sim.spawn(vm.run_compute("p", 10.0, 0.0, KernelEventRates()))
+    sim.run(until=start + 2.0)
+    src_cpu, dst_cpu = vmm1.machine.cpu, fast.cpu
+    (task,) = src_cpu.active_tasks
+    demand = task.work
+    assert demand > 10.0
+
+    vmm1._evict(vm)
+    vmm2._admit(vm)
+    vm.land_on(vmm2)
+    # The old CPU let go at once; the waiter has not resubmitted yet.
+    assert src_cpu.active_tasks == []
+    assert task.finished_at is None
+    assert task.remaining == pytest.approx(demand - 2.0)
+    sim.run(until=sim.now)
+    (moved,) = dst_cpu.active_tasks
+    assert moved.group is vm.group
+    assert moved.work == task.remaining
+
+    user, sys = sim.run_until_complete(proc)
+    assert user + sys == pytest.approx(demand)
+    assert sim.now == pytest.approx(start + 2.0 + (demand - 2.0) / 2.0)
+    assert src_cpu.active_tasks == [] and dst_cpu.active_tasks == []
+    assert vm._computations == {}
+    # Host CPU seconds delivered: 2 s at speed 1 on the source, then
+    # (demand - 2) / 2 s at speed 2 on the destination.
+    assert vm.group.cpu_consumed - consumed_before == pytest.approx(
+        2.0 * 1.0 + (demand - 2.0) / 2.0 * 2.0)

@@ -90,21 +90,25 @@ def test_syscall_traps_show_as_sys_time():
     assert sys == pytest.approx(10.0 * 1000.0 * vmm.costs.syscall_trap)
 
 
-def test_finished_computations_leave_no_rebind_waiters():
-    """Without a migration the rebind event never fires, so each
-    computation must take its waiter off it when the work is done."""
+def test_finished_computations_leave_nothing_registered_on_the_vm():
+    """Each computation registers its process and task with the VM only
+    while it runs, so finished work pins nothing until a migration."""
     sim = Simulation()
     vmm, _image, vm = vm_rig(sim)
     run(sim, vmm.power_on(vm, mode="boot"))
-    before = len(vm._rebind_event.callbacks)
+    assert vm._computations == {}
+    seen = []
 
     def many():
         for _i in range(100):
             yield from vm.run_compute("p", 0.01, 0.0, KernelEventRates())
+            seen.append(len(vm._computations))
 
     run(sim, many())
     assert vm.state is VmState.RUNNING
-    assert len(vm._rebind_event.callbacks) == before
+    assert seen == [0] * 100
+    assert vm._computations == {}
+    assert vm.host_cpu.active_tasks == []
 
 
 def test_guest_application_slower_than_physical():
