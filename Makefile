@@ -6,15 +6,16 @@
 # which also regenerates the docs/shard-safety.md and
 # docs/scale-readiness.md inventories; then one run of the tier-1 test
 # suite, which holds every determinism, golden, sanitizer and
-# observability check.
+# observability check; then the benchmark's own tests, which guard the
+# ledger hooks on the layers it measures.
 
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint baseline test golden-guard parallel-determinism \
-	shard-determinism bench experiments
+.PHONY: check lint baseline test perfbench-test golden-guard \
+	parallel-determinism shard-determinism bench experiments
 
-check: lint test
+check: lint test perfbench-test
 
 lint:
 	$(PYTHON) -m repro.analysis --deep --shard --scale src/repro \
@@ -31,6 +32,9 @@ baseline:
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+perfbench-test:
+	$(PYTHON) -m pytest -q perfbench/tests
 
 # Narrower runs of tier-1 tests that `test` already includes: the
 # seed-42 goldens, workers=1 vs workers=N, and fleet shards 1/2/4.

@@ -41,9 +41,10 @@ The two families resolve a receiver differently, and each keeps its
 own answer: the shard rules follow ``Class.attr`` and imported
 ``module.NAME`` paths but not local names, aliases or wrappers such as
 ``d[k].append``; the scale rules follow local aliases, ``self.attr``
-through base classes and those wrappers, and treat only parameters as
-shadowing a module-level name.  A site records which family counts it
-(:attr:`Site.shard`, :attr:`Site.scale`).
+through base classes and those wrappers.  For both, every name a
+function binds (a parameter, an assignment or loop target) shadows a
+module-level name unless it is declared ``global``.  A site records
+which family counts it (:attr:`Site.shard`, :attr:`Site.scale`).
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ SHRINKS = SHRINK_METHODS | {"del", "prune", "heappop", "reset"}
 #: Site kinds the shard rules count as writes (``augstore`` is
 #: ``c[k] += v``, ``rebind`` an assignment through ``global``).
 WRITES = MUTATOR_METHODS | {"store", "augstore", "prune", "del",
-                            "rebind", "next"}
+                            "rebind", "next", "heappush", "heappop"}
 #: Site kinds the scale rules read.
 SCALE_KINDS = GROWS | SHRINKS | SORTISH_CALLS | {"scan", "membership"}
 
@@ -420,8 +421,8 @@ class CacheSite:
 class _Scope:
     """What one walked body knows about its names."""
 
-    __slots__ = ("module", "function", "outer", "params", "locals",
-                 "globals", "assigns", "alias_values", "_aliases")
+    __slots__ = ("module", "function", "outer", "locals", "globals",
+                 "assigns", "alias_values", "_aliases")
 
     def __init__(self, module: ModuleInfo,
                  function: Optional[FunctionInfo] = None,
@@ -429,13 +430,9 @@ class _Scope:
         self.module = module
         self.function = function
         self.outer = outer
-        #: The function's parameters: the scale rules let only these
-        #: shadow a module-level name, in nested defs too.
-        self.params: Set[str] = outer.params if outer is not None \
-            else set(args)
         #: Names this body binds: parameters, plain assignment targets,
-        #: loop and comprehension targets (what the shard rules let
-        #: shadow a module-level name).
+        #: loop and comprehension targets (each shadows a module-level
+        #: name).
         self.locals: Set[str] = set(args)
         self.globals: Set[str] = set()
         #: (name, node, in_loop) for every ``name = ...``/``name op= ...``.
@@ -957,8 +954,8 @@ class StateModel:
             shard = here if not wrapped and scope.is_module_name(name) \
                 else None
             scale = self._aliases(scope).get(name) if aliases else None
-            if scale is None and name not in scope.params and \
-                    here is not None and here.growable:
+            if scale is None and here is not None and here.growable \
+                    and scope.is_module_name(name):
                 scale = here
             return shard, scale
         dotted = dotted_name(core)

@@ -1,18 +1,17 @@
 """A simple but faithful disk model: positioning cost plus streaming rate.
 
-Requests queue FIFO at the disk arm.  A request pays a positioning cost
-(seek + rotational latency) unless it is sequential with the previous
-request, then streams its payload at the media transfer rate.  This is
-enough to reproduce the two disk behaviours the paper's Table 2 depends
-on: bulk image copies run at streaming speed, while a cold guest-OS boot
-issuing thousands of small scattered reads is dominated by positioning
-time.
+Requests queue FIFO at the disk arm.  Every request pays one positioning
+cost (seek + rotational latency), then streams its payload at the media
+transfer rate.  Callers that stream issue one request per contiguous run,
+so this is enough to reproduce the two disk behaviours the paper's Table
+2 depends on: bulk image copies run at streaming speed, while a cold
+guest-OS boot issuing thousands of small scattered reads is dominated by
+positioning time.
 """
 
 from __future__ import annotations
 
 from repro.simulation.kernel import Simulation, SimulationError
-from repro.simulation.monitor import StatAccumulator
 from repro.simulation.resources import Resource
 
 __all__ = ["Disk"]
@@ -24,7 +23,7 @@ class Disk:
     Parameters
     ----------
     seek_time:
-        Average positioning cost per non-sequential request, seconds.
+        Average positioning cost per request, seconds.
     transfer_rate:
         Streaming bandwidth, bytes/second.
     """
@@ -40,39 +39,32 @@ class Disk:
         self._arm = Resource(sim, capacity=1)
         self.bytes_read = 0
         self.bytes_written = 0
-        self.request_latency = StatAccumulator(name + ".latency")
 
-    def service_time(self, nbytes: int, sequential: bool = False) -> float:
+    def service_time(self, nbytes: int) -> float:
         """Time the arm is busy for one request (no queueing)."""
-        positioning = 0.0 if sequential else self.seek_time
-        return positioning + nbytes / self.transfer_rate
+        return self.seek_time + nbytes / self.transfer_rate
 
-    def read(self, nbytes: int, sequential: bool = False):
-        """Process generator: read ``nbytes`` (FIFO queued)."""
-        yield from self._access(nbytes, sequential)
-        self.bytes_read += nbytes
+    def read(self, nbytes: int):
+        """The process generator that reads ``nbytes`` (FIFO queued)."""
+        return self._access(nbytes, False)
 
-    def write(self, nbytes: int, sequential: bool = False):
-        """Process generator: write ``nbytes`` (FIFO queued)."""
-        yield from self._access(nbytes, sequential)
-        self.bytes_written += nbytes
+    def write(self, nbytes: int):
+        """The process generator that writes ``nbytes`` (FIFO queued)."""
+        return self._access(nbytes, True)
 
-    def _access(self, nbytes: int, sequential: bool):
+    def _access(self, nbytes: int, write: bool):
         if nbytes < 0:
             raise SimulationError("transfer size must be non-negative")
-        start = self.sim.now
         request = self._arm.request()
         yield request
         try:
-            yield self.sim.timeout(self.service_time(nbytes, sequential))
+            yield self.sim.timeout(self.service_time(nbytes))
         finally:
             self._arm.release(request)
-        self.request_latency.add(self.sim.now - start)
-
-    @property
-    def queue_length(self) -> int:
-        """Requests currently waiting for the arm."""
-        return self._arm.queue_length
+        if write:
+            self.bytes_written += nbytes
+        else:
+            self.bytes_read += nbytes
 
     def __repr__(self) -> str:
         return "<Disk %s %.0f MB/s>" % (self.name, self.transfer_rate / 1e6)

@@ -245,9 +245,12 @@ class BlockCache:
 
         Same cache state and counters, at every yield, as one
         :meth:`lookup` per block in ascending order where each run of
-        consecutive misses is fetched (``yield from fill(run)``, which
-        inserts it) when the next hit follows it, or at the end:
+        consecutive misses is fetched when the next hit follows it, or at
+        the end:
 
+        * a missing run is fetched by ``yield from fill(run)``, which
+          only fetches; the scan inserts the run (:meth:`insert_run`) as
+          soon as the fill returns, with no yield between;
         * a resident stretch with no misses pending is touched as one
           run: touching changes no block's residency;
         * a hit that follows pending misses touches only that block;
@@ -279,7 +282,9 @@ class BlockCache:
                     self.misses += misses
                     served += hits + 1
                     hits = misses = 0
-                    yield from fill(range(pending, pos))
+                    run = range(pending, pos)
+                    yield from fill(run)
+                    self.insert_run(file_id, run)
                     pending = None
                     pos += 1
                     continue
@@ -292,7 +297,9 @@ class BlockCache:
         self.hits += hits
         self.misses += misses
         if pending is not None:
-            yield from fill(range(pending, end))
+            run = range(pending, end)
+            yield from fill(run)
+            self.insert_run(file_id, run)
         return served + hits
 
     def invalidate_file(self, file_id: Hashable) -> int:

@@ -71,22 +71,13 @@ class LocalFileSystem(FileSystem):
         if offset + nbytes > size:
             raise StorageError("read past end of %s (%d+%d > %d)"
                                % (name, offset, nbytes, size))
-        file_id = self._file_id(name)
+        # Each run of missing blocks is one disk access: one positioning
+        # cost, then the run streams (runs are contiguous by construction).
         hits = yield from self.cache.scan(
-            file_id, block_span(offset, nbytes, self.block_size),
-            lambda run: self._read_run(file_id, run))
+            self._file_id(name), block_span(offset, nbytes, self.block_size),
+            lambda run: self.disk.read(len(run) * self.block_size))
         if hits:
             yield self.sim.timeout(_HIT_COST.total(hits))
-
-    def _read_run(self, file_id, blocks: range):
-        """One disk access covering a run of consecutive missing blocks.
-
-        The run pays one positioning cost and then streams, regardless of
-        the caller's access pattern — runs are contiguous by construction.
-        """
-        yield from self.disk.read(len(blocks) * self.block_size,
-                                  sequential=False)
-        self.cache.insert_run(file_id, blocks)
 
     def write(self, name: str, offset: int, nbytes: int,
               sequential: bool = True):
@@ -97,8 +88,7 @@ class LocalFileSystem(FileSystem):
         blocks = block_span(offset, nbytes, self.block_size)
         if blocks:
             # One positioning cost, then the whole range streams.
-            yield from self.disk.write(len(blocks) * self.block_size,
-                                       sequential=False)
+            yield from self.disk.write(len(blocks) * self.block_size)
             self.cache.insert_run(file_id, blocks)
         self._files[name] = max(self._files[name], offset + nbytes)
 

@@ -125,12 +125,11 @@ class NfsMount(FileSystem):
         size = self.server.fs.size(name)
         if offset + nbytes > size:
             raise StorageError("read past end of %s" % name)
-        file_id = (self.name, name)
         yield from self.cache.scan(
-            file_id, block_span(offset, nbytes, self.block_size),
-            lambda run: self._fetch_run(name, file_id, run))
+            (self.name, name), block_span(offset, nbytes, self.block_size),
+            lambda run: self._fetch_run(name, run))
 
-    def _fetch_run(self, name: str, file_id, blocks: range):
+    def _fetch_run(self, name: str, blocks: range):
         """RPC-fetch a run of consecutive chunks with read-ahead."""
         server = self.server
         nbytes = len(blocks) * self.block_size
@@ -155,7 +154,6 @@ class NfsMount(FileSystem):
         server.bytes_served += nbytes
         self._m_rpcs.inc(len(blocks))
         self._m_bytes.inc(nbytes)
-        self.cache.insert_run(file_id, blocks)
 
     def write(self, name: str, offset: int, nbytes: int,
               sequential: bool = True):

@@ -86,7 +86,7 @@ class PvfsProxy(FileSystem):
         file_id = (self.name, name)
         blocks = block_span(offset, nbytes, self.block_size)
         hits = yield from self.cache.scan(
-            file_id, blocks, lambda run: self._fill(name, file_id, run))
+            file_id, blocks, lambda run: self._fill(name, run))
         self._m_hits.inc(hits)
         self._m_misses.inc(len(blocks) - hits)
         if hits:
@@ -95,7 +95,7 @@ class PvfsProxy(FileSystem):
         if sequential and self.prefetch_blocks and blocks:
             self._start_prefetch(name, file_id, blocks[-1] + 1)
 
-    def _fill(self, name: str, file_id, blocks: Sequence[int]):
+    def _fill(self, name: str, blocks: Sequence[int]):
         """Fetch a run of missing blocks from the backing file system."""
         span_offset = blocks[0] * self.block_size
         span_bytes = min(len(blocks) * self.block_size,
@@ -103,7 +103,6 @@ class PvfsProxy(FileSystem):
         if span_bytes > 0:
             yield from self.backing.read(name, span_offset, span_bytes,
                                          sequential=len(blocks) > 1)
-        self.cache.insert_run(file_id, blocks)
 
     def _start_prefetch(self, name: str, file_id, first_block: int) -> None:
         limit = (self.backing.size(name) + self.block_size - 1) \
@@ -122,7 +121,8 @@ class PvfsProxy(FileSystem):
 
         def fetcher(sim):
             try:
-                yield from self._fill(name, file_id, wanted)
+                yield from self._fill(name, wanted)
+                self.cache.insert_run(file_id, wanted)
             finally:
                 for block in wanted:
                     self._inflight_prefetch.discard((name, block))

@@ -15,9 +15,9 @@ conventional file").  Table 2 distinguishes two modes:
 interface as :class:`repro.hardware.disk.Disk`, so a guest
 :class:`~repro.storage.localfs.LocalFileSystem` can sit directly on it.
 Because the guest's block placement is not content-tracked, the virtual
-disk maps guest accesses onto image offsets with a sequential cursor
-(for streaming access) or uniformly at random (for scattered access) —
-preserving host-cache behaviour statistically.
+disk maps each guest access onto an image offset drawn uniformly at
+random, preserving host-cache behaviour statistically; :meth:`read_at`
+reads an explicit image range.
 """
 
 from __future__ import annotations
@@ -92,7 +92,6 @@ class VirtualDisk:
         self.remote_cpu_per_byte = float(remote_cpu_per_byte)
         self.block_size = 65536
         self._written: Set[int] = set()  # simlint: disable=R23  models the copy-on-write diff contents: bounded by the virtual disk's block count, freed with the VM
-        self._cursor = 0
         #: Accounting the VM drains into guest sys time.
         self.pending_io_cpu = 0.0
         self.bytes_from_base = 0
@@ -113,54 +112,49 @@ class VirtualDisk:
             return 0
         return self.diff_fs.size(self.diff_name)
 
-    # -- address selection -------------------------------------------------------
-
-    def _pick_offset(self, nbytes: int, sequential: bool) -> int:
-        limit = max(1, self.size_bytes - nbytes)
-        if sequential:
-            offset = self._cursor % limit
-        else:
-            offset = self.rng.randrange(0, limit)
-        self._cursor = offset + nbytes
-        return offset
-
     # -- Disk-compatible data path -------------------------------------------------
 
-    def read(self, nbytes: int, sequential: bool = False):
-        """Process generator: guest disk read of ``nbytes``."""
+    def _pick_offset(self, nbytes: int) -> int:
+        return self.rng.randrange(0, max(1, self.size_bytes - nbytes))
+
+    def read(self, nbytes: int):
+        """Guest disk read of ``nbytes`` at a random image offset: the
+        :meth:`read_at` process generator."""
         if nbytes < 0:
             raise SimulationError("read size must be non-negative")
-        if nbytes == 0:
-            return
-        offset = self._pick_offset(nbytes, sequential)
-        yield from self.read_at(offset, nbytes, sequential)
+        return self.read_at(self._pick_offset(nbytes) if nbytes else 0,
+                            nbytes)
 
-    def read_at(self, offset: int, nbytes: int, sequential: bool = False):
-        """Process generator: read an explicit image byte range."""
-        blocks = block_span(offset, nbytes, self.block_size)
-        base_run: list = []
-        for block in blocks:
-            if block in self._written:
-                if base_run:
-                    yield from self._read_base(base_run, sequential)
-                    base_run = []
+    def read_at(self, offset: int, nbytes: int):
+        """Process generator: read an explicit image byte range.
+
+        Each maximal run of unmodified blocks is one read of the base
+        image; each modified block is read from the diff (or the private
+        copy).  The written set and the base image are re-read after
+        every yield: a write or a rebind may land while a read waits.
+        """
+        block_size = self.block_size
+        blocks = block_span(offset, nbytes, block_size)
+        block, end = blocks.start, blocks.stop
+        while block < end:
+            first = block
+            while block < end and block not in self._written:
+                block += 1
+            if block > first:
+                base = self.base
+                start = first * block_size
+                run_bytes = min((block - first) * block_size,
+                                base.size_bytes - start)
+                if run_bytes > 0:
+                    yield from base.fs.read(base.name, start, run_bytes,
+                                            sequential=block - first > 1)
+                    self.bytes_from_base += run_bytes
+                    self.pending_io_cpu += \
+                        run_bytes * self.remote_cpu_per_byte
+            if block < end:
                 # Modified block: served from the diff (or private copy).
                 yield from self._read_diff_block(block)
-            else:
-                base_run.append(block)
-        if base_run:
-            yield from self._read_base(base_run, sequential)
-
-    def _read_base(self, blocks, sequential: bool):
-        offset = blocks[0] * self.block_size
-        nbytes = min(len(blocks) * self.block_size,
-                     self.base.size_bytes - offset)
-        if nbytes <= 0:
-            return
-        yield from self.base.fs.read(self.base.name, offset, nbytes,
-                                     sequential=sequential or len(blocks) > 1)
-        self.bytes_from_base += nbytes
-        self.pending_io_cpu += nbytes * self.remote_cpu_per_byte
+                block += 1
 
     def _read_diff_block(self, block: int):
         if self.mode == "persistent":
@@ -182,17 +176,17 @@ class VirtualDisk:
                                              sequential=False)
             self.bytes_from_diff += nbytes
 
-    def write(self, nbytes: int, sequential: bool = False):
+    def write(self, nbytes: int):
         """Process generator: guest disk write of ``nbytes``."""
         if nbytes < 0:
             raise SimulationError("write size must be non-negative")
         if nbytes == 0:
             return
-        offset = self._pick_offset(nbytes, sequential)
+        offset = self._pick_offset(nbytes)
         blocks = block_span(offset, nbytes, self.block_size)
         if self.mode == "persistent":
             yield from self.base.fs.write(self.base.name, offset, nbytes,
-                                          sequential=sequential)
+                                          sequential=False)
         else:
             # Copy-on-write: append new versions to the diff file.
             diff_offset = self.diff_fs.size(self.diff_name)

@@ -90,3 +90,14 @@ class Frontend:
             self._cache = sorted(self.window)
         self._memo = sorted(self.window)  # simlint: disable=R26  rebuilt once per epoch by the caller
         yield self._cache
+
+
+#: Negative: only a function's own local of the same name grows.
+_ARCHIVE = []
+
+
+def archive(session):
+    """Process generator: its ``_ARCHIVE`` is a fresh local list."""
+    _ARCHIVE = []
+    _ARCHIVE.append(session)
+    yield _ARCHIVE

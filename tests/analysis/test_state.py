@@ -77,19 +77,20 @@ def test_one_table_holds_module_class_and_ring_locations(tmp_path):
         ["_INDEX", "_QUEUE", "sessions"]
 
 
-def test_a_local_shadows_a_global_for_shard_but_not_for_scale(tmp_path):
-    # The scale rules let only parameters shadow a module-level name;
-    # the shard rules let every local do so.  Each keeps its answer.
+def test_a_local_shadows_a_global_for_both_families(tmp_path):
+    # A function's own ``sessions = []`` is a new list: neither family
+    # counts its append as a write or growth of the module-level name.
     sessions = _model(tmp_path).locations[("demo", "sessions")]
     assert sessions.mutations == [] and sessions.affinity == LOCAL
-    assert _kinds(sessions.grows) == ["append"]
+    assert sessions.grows == []
 
 
 def test_aliases_and_wrappers_reach_scale_only(tmp_path):
     model = _model(tmp_path)
     queue = model.locations[("demo", "_QUEUE")]
     assert _kinds(queue.grows) == ["append", "heappush"]
-    assert queue.mutations == []  # heap pushes are not shard writes
+    # A heap push is a write for both families; the alias's is not.
+    assert _kinds(queue.mutations) == ["heappush"]
     index = model.locations[("demo", "_INDEX")]
     assert "append" in _kinds(index.grows)
     assert "append" not in _kinds(index.mutations)

@@ -10,16 +10,16 @@ from repro.simulation import Simulation, SimulationError
 # Disk
 # ---------------------------------------------------------------------------
 
-def test_disk_sequential_read_is_streaming_only():
+def test_disk_read_pays_one_seek_plus_stream():
     sim = Simulation()
     disk = Disk(sim, seek_time=0.01, transfer_rate=10e6)
 
     def reader(sim):
-        yield from disk.read(10_000_000, sequential=True)
+        yield from disk.read(10_000_000)
         return sim.now
 
     proc = sim.spawn(reader(sim))
-    assert sim.run_until_complete(proc) == pytest.approx(1.0)
+    assert sim.run_until_complete(proc) == pytest.approx(1.01)
 
 
 def test_disk_random_read_pays_seek():
@@ -27,7 +27,7 @@ def test_disk_random_read_pays_seek():
     disk = Disk(sim, seek_time=0.01, transfer_rate=10e6)
 
     def reader(sim):
-        yield from disk.read(0, sequential=False)
+        yield from disk.read(0)
         return sim.now
 
     proc = sim.spawn(reader(sim))
@@ -40,7 +40,7 @@ def test_disk_requests_queue_fifo():
     finishes = []
 
     def reader(sim, nbytes):
-        yield from disk.read(nbytes, sequential=True)
+        yield from disk.read(nbytes)
         finishes.append(sim.now)
 
     sim.spawn(reader(sim, 1_000_000))  # 1s
@@ -61,20 +61,6 @@ def test_disk_counts_traffic():
     sim.run()
     assert disk.bytes_read == 100
     assert disk.bytes_written == 200
-
-
-def test_disk_latency_statistics_include_queueing():
-    sim = Simulation()
-    disk = Disk(sim, seek_time=0.0, transfer_rate=1e6)
-
-    def reader(sim):
-        yield from disk.read(1_000_000, sequential=True)
-
-    sim.spawn(reader(sim))
-    sim.spawn(reader(sim))
-    sim.run()
-    assert disk.request_latency.count == 2
-    assert disk.request_latency.maximum == pytest.approx(2.0)
 
 
 def test_disk_parameter_validation():

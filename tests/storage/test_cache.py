@@ -249,12 +249,10 @@ def test_property_run_cache_matches_per_block_lru(ops, capacity_blocks):
             for member in run:
                 ref.insert(file_id, member)
         elif op == "read":
-            def fill(run, file_id=file_id):
-                cache.insert_run(file_id, run)
-                return iter(())
+            # The fill only fetches: the scan inserts each run itself.
             span = range(block, block + length)
-            assert drain(cache.scan(file_id, span, fill)) == \
-                ref.read(file_id, span)
+            assert drain(cache.scan(file_id, span, lambda run: iter(()))) \
+                == ref.read(file_id, span)
         elif op == "invalidate":
             assert cache.invalidate_file(file_id) == \
                 ref.invalidate_file(file_id)

@@ -54,7 +54,7 @@ def test_read_pulls_from_base_image():
     sim = Simulation()
     _machine, host = physical_rig(sim)
     vdisk = make_vdisk(sim, host)
-    run(sim, vdisk.read(1 * MB, sequential=True))
+    run(sim, vdisk.read(1 * MB))
     assert vdisk.bytes_from_base >= 1 * MB
     assert vdisk.bytes_from_diff == 0
 
@@ -63,7 +63,7 @@ def test_write_nonpersistent_goes_to_diff():
     sim = Simulation()
     _machine, host = physical_rig(sim)
     vdisk = make_vdisk(sim, host)
-    run(sim, vdisk.write(2 * MB, sequential=True))
+    run(sim, vdisk.write(2 * MB))
     assert vdisk.diff_bytes >= 2 * MB
     assert vdisk.bytes_written == 2 * MB
     # The base image was not touched.
@@ -74,38 +74,29 @@ def test_written_blocks_reread_from_diff():
     sim = Simulation()
     _machine, host = physical_rig(sim)
     vdisk = make_vdisk(sim, host)
-    # Sequential write then sequential read from offset 0 covers the
-    # same blocks (cursor reset via explicit read_at).
-    run(sim, vdisk.write(1 * MB, sequential=True))
-    run(sim, vdisk.read_at(0, 1 * MB))
-    assert vdisk.bytes_from_diff > 0
+    run(sim, vdisk.write(1 * MB))
+    written = sorted(vdisk._written)
+    run(sim, vdisk.read_at(written[0] * vdisk.block_size,
+                           len(written) * vdisk.block_size))
+    assert vdisk.bytes_from_diff == len(written) * vdisk.block_size
+    assert vdisk.bytes_from_base == 0
 
 
 def test_write_persistent_goes_to_base():
     sim = Simulation()
     _machine, host = physical_rig(sim)
     vdisk = make_vdisk(sim, host, mode="persistent")
-    run(sim, vdisk.write(2 * MB, sequential=True))
+    run(sim, vdisk.write(2 * MB))
     assert vdisk.diff_bytes == 0
     assert host.root_fs.disk.bytes_written if hasattr(
         host.root_fs, "disk") else True
-
-
-def test_sequential_reads_advance_cursor():
-    sim = Simulation()
-    _machine, host = physical_rig(sim)
-    vdisk = make_vdisk(sim, host)
-    run(sim, vdisk.read(1 * MB, sequential=True))
-    cursor_after_first = vdisk._cursor
-    run(sim, vdisk.read(1 * MB, sequential=True))
-    assert vdisk._cursor > cursor_after_first
 
 
 def test_remote_cpu_accumulates_and_drains():
     sim = Simulation()
     _machine, host = physical_rig(sim)
     vdisk = make_vdisk(sim, host, remote_cpu_per_byte=1e-8)
-    run(sim, vdisk.read(10 * MB, sequential=True))
+    run(sim, vdisk.read(10 * MB))
     pending = vdisk.drain_pending_io_cpu()
     assert pending == pytest.approx(10 * MB * 1e-8, rel=0.05)
     assert vdisk.drain_pending_io_cpu() == 0.0
@@ -136,7 +127,7 @@ def test_rebind_moves_base_and_diff():
     _machine1, host1 = physical_rig(sim, name="src")
     _machine2, host2 = physical_rig(sim, name="dst")
     vdisk = make_vdisk(sim, host1)
-    run(sim, vdisk.write(1 * MB, sequential=True))
+    run(sim, vdisk.write(1 * MB))
     new_image = DiskImage(host2.root_fs, "base.img", 1 * GB, create=True)
     vdisk.rebind(new_image, host2.root_fs, remote_cpu_per_byte=0.0)
     assert vdisk.base is new_image
